@@ -9,6 +9,14 @@ numerical result (when operands are supplied) and the modeled performance.
 :func:`tgemm_gemm` is the traditional baseline under the identical
 interface, and :func:`gemm` dispatches between them.
 
+Functional execution is *lower once, bind many*: the first call with a
+given (shape, tuning decision, cluster, dtype, kernel execution mode)
+lowers a data-independent op-stream template through the ``build_*``
+drivers and caches it; every later call with that key attaches its own
+operands and fault injector to the cached template, replays it and
+detaches (:func:`_replay`).  Tile scratch lives in the cluster's shared
+arenas, so the cache holds op graphs, not per-template memory.
+
 Timing modes:
 
 * ``"des"``      — discrete-event simulation (exact overlap/contention);
@@ -20,8 +28,9 @@ Timing modes:
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Callable, Hashable, Literal
 
 import numpy as np
 
@@ -37,6 +46,7 @@ from ..faults.inject import FaultInjector, FaultReport
 from ..faults.plan import FaultPlan
 from ..hw.config import ClusterConfig, MachineConfig, default_machine
 from ..kernels.registry import KernelRegistry, registry_for
+from ..obs.registry import current as _obs_current
 from ..obs.trace import current_tracer, maybe_scope
 from .blocking import KPlan, MPlan, TgemmPlan
 from .lowering import GemmOperands
@@ -112,24 +122,97 @@ def _lower(
     data: GemmOperands | None,
     registry: KernelRegistry,
     kernel_exec: str = "numpy",
-    faults: FaultInjector | None = None,
 ) -> GemmExecution:
+    """Lower one call uncached: timing-only plans and template misses."""
     if decision.strategy == "m":
         return build_parallel_m(
             shape, cluster, plan=decision.m_plan, data=data,
             registry=registry, adjust=False, kernel_exec=kernel_exec,
-            faults=faults,
         )
     if decision.strategy == "k":
         return build_parallel_k(
             shape, cluster, plan=decision.k_plan, data=data,
             registry=registry, adjust=False, kernel_exec=kernel_exec,
-            faults=faults,
         )
     return build_tgemm(
         shape, cluster, plan=decision.tgemm_plan, data=data,
-        registry=registry, kernel_exec=kernel_exec, faults=faults,
+        registry=registry, kernel_exec=kernel_exec,
     )
+
+
+class TemplateCache:
+    """Functional op-stream templates, one per lowering key, LRU-bounded.
+
+    A miss lowers through ``lower`` (counted as
+    ``core/lowering/templates``); a hit returns the cached template
+    (counted as ``core/lowering/binds``).  Templates hold no operands
+    between calls, and their tile buffers are views into the shared
+    scratch arenas, so only op graphs accumulate here.
+    """
+
+    def __init__(self, capacity: int = 128) -> None:
+        self.capacity = capacity
+        self._templates: OrderedDict[Hashable, GemmExecution] = OrderedDict()
+
+    def lookup(
+        self, key: Hashable, lower: Callable[[], GemmExecution]
+    ) -> GemmExecution:
+        m = _obs_current()
+        template = self._templates.get(key)
+        if template is None:
+            template = lower()
+            self._templates[key] = template
+            if len(self._templates) > self.capacity:
+                self._templates.popitem(last=False)
+            if m is not None:
+                m.counter("core/lowering/templates").inc()
+        else:
+            self._templates.move_to_end(key)
+            if m is not None:
+                m.counter("core/lowering/binds").inc()
+        return template
+
+    def clear(self) -> None:
+        """Drop every template (tests compare against cold lowerings)."""
+        self._templates.clear()
+
+    def keys(self):
+        return self._templates.keys()
+
+    def values(self):
+        return self._templates.values()
+
+    def __len__(self) -> int:
+        return len(self._templates)
+
+
+#: the process-wide template cache of :func:`_replay`
+TEMPLATES = TemplateCache()
+
+
+def _replay(
+    shape: GemmShape,
+    cluster: ClusterConfig,
+    decision: TuningDecision,
+    data: GemmOperands,
+    registry: KernelRegistry,
+    *,
+    dtype: str = "f32",
+    kernel_exec: str = "numpy",
+    faults: FaultInjector | None = None,
+) -> FunctionalReport:
+    """Compute ``C += A @ B`` into ``data.c`` with the cached template.
+
+    The template is looked up (or lowered) by key, ``data`` and
+    ``faults`` are attached for one replay, and detached again however
+    the replay ends.
+    """
+    template = TEMPLATES.lookup(
+        (shape, decision, cluster, dtype, kernel_exec),
+        lambda: _lower(shape, cluster, decision, data, registry, kernel_exec),
+    )
+    with template.bound(data, faults):
+        return run_functional(template, faults=faults)
 
 
 def _retune(
@@ -193,9 +276,9 @@ def _run(
         func_report = None
         if data is not None:
             with maybe_scope("functional", category="phase", track="gemm"):
-                func_report = run_functional(
-                    _lower(shape, cluster, decision, data, registry,
-                           kernel_exec)
+                func_report = _replay(
+                    shape, cluster, decision, data, registry, dtype=dtype,
+                    kernel_exec=kernel_exec,
                 )
 
         mode = timing
@@ -271,11 +354,10 @@ def _run_resilient(
         while True:
             inj = FaultInjector(plan, attempt)
             try:
-                ex = _lower(
+                func_report = _replay(
                     shape, cluster_f, decision_f, data, registry,
-                    kernel_exec, faults=inj,
+                    dtype=dtype, kernel_exec=kernel_exec, faults=inj,
                 )
-                func_report = run_functional(ex, faults=inj)
                 report.absorb(inj.counters)
                 break
             except CoreFailureError as exc:

@@ -9,12 +9,19 @@ loads of shared GSM tiles, and round-robin chunk assignment.
 In *timing-only* mode (``data=None``) buffers are unbacked and closures are
 omitted — the emitted plan carries only geometry and cycle counts, so
 multi-gigabyte problems lower cheaply.
+
+In functional mode the closures never capture operand arrays: they read
+DDR operands through the context (``ctx.data``) when they run, and their
+tile buffers are views into the cluster's shared scratch arenas.  A
+functional lowering is therefore a reusable *template*: attach another
+call's operands and fault injector to its context and replay it (see
+:meth:`~repro.core.plans.GemmExecution.bound`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -48,6 +55,20 @@ def chunks_for_core(total: int, block: int, core: int, n_cores: int):
     for index, start, extent in block_ranges(total, block):
         if index % n_cores == core:
             yield index, start, extent
+
+
+class Window(NamedTuple):
+    """The tile of ``source`` whose top-left element is ``(row, col)``.
+
+    ``source`` is a DDR operand by name (``"a"``, ``"b"`` or ``"c"``),
+    resolved against the operands bound when the copy runs, or an
+    on-chip :class:`~repro.hw.memory.Buffer`.  The extent comes from the
+    copy using the window.
+    """
+
+    source: str | Buffer
+    row: int = 0
+    col: int = 0
 
 
 @dataclass
@@ -110,11 +131,14 @@ class LoweringContext:
         registry: KernelRegistry | None = None,
         dtype: str = "f32",
         kernel_exec: str = "numpy",
-        faults=None,
     ) -> None:
         self.cluster = cluster
         self.shape = shape
+        #: the operands closures read when they run; swapped per call by
+        #: :meth:`~repro.core.plans.GemmExecution.bound`
         self.data = data
+        #: functional lowering: emit closures and back the tile buffers
+        self.backed = data is not None
         self.dtype = dtype
         self.esize = DTYPE_SIZES[dtype]
         self.spaces = ClusterSpaces(cluster)
@@ -125,12 +149,12 @@ class LoweringContext:
                 "expected 'numpy', 'compiled' or 'interp'"
             )
         self.kernel_exec = kernel_exec
-        #: optional :class:`~repro.faults.inject.FaultInjector`; when set,
-        #: tile stores and kernel applications route through its guards
-        #: (read-back verified copies, ABFT-checked GEMMs).  When ``None``
-        #: the fast paths below are plain assignment / ``apply_exec`` —
-        #: guaranteeing bit-identical results to a build without faults.
-        self.faults = faults
+        #: the bound :class:`~repro.faults.inject.FaultInjector`, if any;
+        #: when set, tile stores and kernel applications route through its
+        #: guards (read-back verified copies, ABFT-checked GEMMs).  When
+        #: ``None`` the fast paths below are plain assignment /
+        #: ``apply_exec`` — bit-identical to a run without faults.
+        self.faults = None
 
     # -- fault-guarded primitives ------------------------------------------
 
@@ -147,10 +171,6 @@ class LoweringContext:
             kern.apply_exec(a, b, c, self.kernel_exec)
         else:
             self.faults.guarded_gemm(kern, a, b, c, self.kernel_exec, core)
-
-    @property
-    def backed(self) -> bool:
-        return self.data is not None
 
     # -- buffers -----------------------------------------------------------
 
@@ -178,27 +198,84 @@ class LoweringContext:
 
     # -- functional closures -------------------------------------------------
 
+    def _getter(
+        self, where: np.ndarray | Window, rows: int, cols: int
+    ) -> Callable[[], np.ndarray]:
+        """The ``rows x cols`` tile at ``where`` as a zero-argument getter.
+
+        Buffer windows and plain arrays are sliced once, here; operand
+        windows are sliced from whatever operands are bound at call time.
+        """
+        if not isinstance(where, Window):
+            return lambda: where
+        source, r0, c0 = where
+        if isinstance(source, Buffer):
+            view = source.array()[r0 : r0 + rows, c0 : c0 + cols]
+            return lambda: view
+        return lambda: getattr(self.data, source)[r0 : r0 + rows, c0 : c0 + cols]
+
     def copy_in(
-        self, buf: Buffer, src: np.ndarray, rows: int, cols: int, core: int = 0
+        self,
+        buf: Buffer,
+        src: np.ndarray | Window,
+        rows: int,
+        cols: int,
+        core: int = 0,
+        *,
+        row: int = 0,
     ) -> Callable[[], None] | None:
+        """Copy ``src`` (``rows x cols``) into ``buf`` from row ``row``."""
         if not self.backed:
             return None
-        dst = buf.array()
+        dst = buf.array()[row : row + rows, :cols]
+        get = self._getter(src, rows, cols)
 
         def run() -> None:
-            self.store(dst[:rows, :cols], src, core)
+            self.store(dst, get(), core)
 
         return run
 
     def copy_out(
-        self, dst: np.ndarray, buf: Buffer, rows: int, cols: int, core: int = 0
+        self,
+        dst: np.ndarray | Window,
+        buf: Buffer,
+        rows: int,
+        cols: int,
+        core: int = 0,
     ) -> Callable[[], None] | None:
+        """Copy the top-left ``rows x cols`` of ``buf`` out to ``dst``."""
         if not self.backed:
             return None
-        src = buf.array()
+        src = buf.array()[:rows, :cols]
+        get = self._getter(dst, rows, cols)
 
         def run() -> None:
-            self.store(dst, src[:rows, :cols], core)
+            self.store(get(), src, core)
+
+        return run
+
+    def kernel_call(
+        self,
+        kern,
+        a: Buffer,
+        b: Buffer,
+        c: Buffer,
+        m: int,
+        n: int,
+        k: int,
+        core: int = 0,
+        *,
+        c_row: int = 0,
+    ) -> Callable[[], None] | None:
+        """``C[c_row:c_row+m, :n] += A[:m, :k] @ B[:k, :n]`` on tile buffers."""
+        if not self.backed:
+            return None
+        a_t = a.array()[:m, :k]
+        b_t = b.array()[:k, :n]
+        c_t = c.array()[c_row : c_row + m, :n]
+
+        def run() -> None:
+            self.apply_kernel(kern, a_t, b_t, c_t, core)
 
         return run
 

@@ -24,7 +24,7 @@ from ..hw.config import ClusterConfig
 from ..hw.memory import MemKind
 from ..kernels.registry import KernelRegistry
 from .blocking import FP32, KPlan, adjust_k_plan
-from .lowering import GemmOperands, LoweringContext, block_ranges
+from .lowering import GemmOperands, LoweringContext, Window, block_ranges
 from .plans import GemmExecution, OpStreamBuilder
 from .shapes import GemmShape
 
@@ -39,14 +39,13 @@ def build_parallel_k(
     adjust: bool = True,
     pingpong: bool = True,
     kernel_exec: str = "numpy",
-    faults=None,
 ) -> GemmExecution:
     """Lower a GEMM to the K-parallel strategy's op streams.
 
     ``pingpong=False`` single-buffers B_a and A_s (double-buffering
     ablation).  ``kernel_exec`` selects how KERNEL closures compute (see
-    :class:`~repro.core.lowering.LoweringContext`).  ``faults`` routes
-    tile stores and kernel applications through the injector's guards.
+    :class:`~repro.core.lowering.LoweringContext`).  With ``data`` the
+    plan is a functional template (see :func:`build_parallel_m`).
     """
     if plan is None:
         plan = KPlan()
@@ -56,7 +55,7 @@ def build_parallel_k(
         plan = plan.validate(cluster)
     ctx = LoweringContext(
         cluster, shape, data, registry, dtype=plan.dtype,
-        kernel_exec=kernel_exec, faults=faults,
+        kernel_exec=kernel_exec,
     )
     n_cores = cluster.n_cores
     builder = OpStreamBuilder(n_cores)
@@ -124,16 +123,8 @@ def build_parallel_k(
                             buffer="B_a",
                             slot=bslot,
                             run=ctx.copy_in(
-                                ba_buf,
-                                ctx.data.b[
-                                    t0 : t0 + kc, j0 + jj0 : j0 + jj0 + nar
-                                ],
-                                kc,
-                                nar,
-                                core,
-                            )
-                            if ctx.backed
-                            else None,
+                                ba_buf, Window("b", t0, j0 + jj0), kc, nar, core
+                            ),
                             tag="B->B_a",
                         )
                         for u_idx, u0, ms_r in block_ranges(mar, plan.m_s):
@@ -148,50 +139,23 @@ def build_parallel_k(
                                 slot=aslot,
                                 run=ctx.copy_in(
                                     as_buf,
-                                    ctx.data.a[
-                                        i0 + ii0 + u0 : i0 + ii0 + u0 + ms_r,
-                                        t0 : t0 + kc,
-                                    ],
+                                    Window("a", i0 + ii0 + u0, t0),
                                     ms_r,
                                     kc,
                                     core,
-                                )
-                                if ctx.backed
-                                else None,
+                                ),
                                 tag="A->A_s",
                             )
                             kern = ctx.registry.ftimm(ms_r, nar, kc, plan.dtype)
-                            krun = None
-                            if ctx.backed:
-                                as_arr = as_buf.array()
-                                ba_arr = ba_buf.array()
-                                ca_arr = c_a[core][0].array()
-
-                                def krun(
-                                    kern=kern,
-                                    as_arr=as_arr,
-                                    ba_arr=ba_arr,
-                                    ca_arr=ca_arr,
-                                    u0=u0,
-                                    ms_r=ms_r,
-                                    kc=kc,
-                                    nar=nar,
-                                    core=core,
-                                ) -> None:
-                                    ctx.apply_kernel(
-                                        kern,
-                                        as_arr[:ms_r, :kc],
-                                        ba_arr[:kc, :nar],
-                                        ca_arr[u0 : u0 + ms_r, :nar],
-                                        core,
-                                    )
-
                             kidx = builder.kernel(
                                 core,
                                 kern.cycles,
                                 kern.flops,
                                 reads=(("A_s", aslot), ("B_a", bslot)),
-                                run=krun,
+                                run=ctx.kernel_call(
+                                    kern, as_buf, ba_buf, c_a[core][0], ms_r,
+                                    nar, kc, core, c_row=u0,
+                                ),
                                 tag=f"mk{ms_r}x{nar}x{kc}",
                             )
                             builder.consume(core, "B_a", bslot, kidx)
@@ -202,18 +166,22 @@ def build_parallel_k(
                     )
                     runs = None
                     if ctx.backed:
-                        c_view = ctx.data.c[
-                            i0 + ii0 : i0 + ii0 + mar,
-                            j0 + jj0 : j0 + jj0 + nar,
+                        partials = [
+                            c_a[core][0].array()[:mar, :nar]
+                            for core in range(n_cores)
                         ]
-                        partials = [c_a[core][0].array() for core in range(n_cores)]
 
                         def reduce_run(
-                            c_view=c_view, partials=partials, mar=mar, nar=nar
+                            partials=partials,
+                            r0=i0 + ii0,
+                            c0=j0 + jj0,
+                            mar=mar,
+                            nar=nar,
                         ) -> None:
+                            c_view = ctx.data.c[r0 : r0 + mar, c0 : c0 + nar]
                             total = np.zeros((mar, nar), dtype=c_view.dtype)
                             for p in partials:
-                                total += p[:mar, :nar]
+                                total += p
                             c_view += total
 
                         runs = {0: reduce_run}
@@ -231,4 +199,5 @@ def build_parallel_k(
         peak_am=max(s.peak_used for s in ctx.spaces.am),
         peak_sm=max(s.peak_used for s in ctx.spaces.sm),
         peak_gsm=ctx.spaces.gsm.peak_used,
+        context=ctx,
     )

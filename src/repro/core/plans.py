@@ -26,13 +26,21 @@ Functional execution simply runs ``op.run`` callbacks in emission order
 (per-core lists interleaved in a deterministic round-robin that respects
 SYNCs) — sequential semantics are valid because the deps only ever relax
 ordering, never create it.
+
+A functional plan is a data-independent *template*: its closures read
+the operands and fault injector of the lowering context they were built
+against at the moment they run.  :meth:`GemmExecution.bound` attaches one
+call's operands for the duration of a replay and detaches them after, so
+one lowering serves every call with the same key.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Iterator
 
 from ..errors import PlanError
 from ..hw.config import ClusterConfig
@@ -84,6 +92,45 @@ class GemmExecution:
     core_ops: list[list[Op]]
     n_syncs: int = 0
     meta: dict = field(default_factory=dict)
+    #: the :class:`~repro.core.lowering.LoweringContext` the closures
+    #: read operands and faults from (``None`` for hand-built plans)
+    context: object = field(default=None, repr=False, compare=False)
+
+    @contextmanager
+    def bound(self, data, faults=None) -> Iterator["GemmExecution"]:
+        """Attach one call's operands and fault injector for a replay.
+
+        On exit the context is detached again, so a cached template
+        never keeps a call's operands alive after the call returns.
+        """
+        ctx = self.context
+        if ctx is None or not ctx.backed:
+            raise PlanError(f"{self.strategy} plan has no functional closures")
+        ctx.data, ctx.faults = data, faults
+        try:
+            yield self
+        finally:
+            ctx.data = ctx.faults = None
+
+    @cached_property
+    def replay_ops(self) -> list[Op]:
+        """Every op in global emission order (``seq``): the replay order."""
+        return sorted(
+            (op for ops in self.core_ops for op in ops), key=lambda op: op.seq
+        )
+
+    @cached_property
+    def replay_runs(self) -> list[Callable[[], None]]:
+        """The closures of :attr:`replay_ops`, ops without one skipped."""
+        return [op.run for op in self.replay_ops if op.run is not None]
+
+    @cached_property
+    def op_counts(self) -> dict[OpKind, int]:
+        counts = dict.fromkeys(OpKind, 0)
+        for ops in self.core_ops:
+            for op in ops:
+                counts[op.kind] += 1
+        return counts
 
     def validate(self) -> "GemmExecution":
         if len(self.core_ops) != self.cluster.n_cores:
@@ -106,13 +153,13 @@ class GemmExecution:
 
     # -- aggregate statistics (used by reports and tests) -----------------
 
-    @property
+    @cached_property
     def total_flops(self) -> int:
         return sum(
             op.flops for ops in self.core_ops for op in ops if op.kind is OpKind.KERNEL
         )
 
-    @property
+    @cached_property
     def total_dma_bytes(self) -> int:
         return sum(
             op.desc.nbytes
@@ -299,7 +346,13 @@ class OpStreamBuilder:
         return self._seq
 
     def finish(
-        self, shape: GemmShape, strategy: str, cluster: ClusterConfig, **meta
+        self,
+        shape: GemmShape,
+        strategy: str,
+        cluster: ClusterConfig,
+        *,
+        context=None,
+        **meta,
     ) -> GemmExecution:
         return GemmExecution(
             shape=shape,
@@ -308,4 +361,5 @@ class OpStreamBuilder:
             core_ops=self.core_ops,
             n_syncs=self._sync_counter,
             meta=meta,
+            context=context,
         ).validate()

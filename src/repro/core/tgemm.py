@@ -24,7 +24,7 @@ from ..hw.config import ClusterConfig
 from ..hw.memory import MemKind
 from ..kernels.registry import KernelRegistry
 from .blocking import TgemmPlan
-from .lowering import GemmOperands, LoweringContext, block_ranges, chunks_for_core
+from .lowering import GemmOperands, LoweringContext, Window, block_ranges
 from .plans import GemmExecution, OpStreamBuilder
 from .shapes import GemmShape
 
@@ -37,12 +37,11 @@ def build_tgemm(
     registry: KernelRegistry | None = None,
     *,
     kernel_exec: str = "numpy",
-    faults=None,
 ) -> GemmExecution:
     """Lower a GEMM to TGEMM's op streams."""
     plan = (plan or TgemmPlan()).validate(cluster)
     ctx = LoweringContext(
-        cluster, shape, data, registry, kernel_exec=kernel_exec, faults=faults
+        cluster, shape, data, registry, kernel_exec=kernel_exec
     )
     n_cores = cluster.n_cores
     builder = OpStreamBuilder(n_cores)
@@ -68,22 +67,15 @@ def build_tgemm(
     for _i_idx, i0, mr in block_ranges(m, plan.m_g):
         for j_idx, j0, kc in block_ranges(k, plan.k_g):
             jslot = j_idx % 2
+            ag_buf = a_g[jslot]
             # cooperative fill of the shared A_g panel
             for core, rs, re in ctx.split_rows(mr):
-                run = None
-                if ctx.backed:
-                    ag_arr = a_g[jslot].array()
-                    src = ctx.data.a[i0 + rs : i0 + rs + re, j0 : j0 + kc]
-
-                    def run(
-                        ag_arr=ag_arr, rs=rs, re=re, kc=kc, src=src, core=core
-                    ) -> None:
-                        ctx.store(ag_arr[rs : rs + re, :kc], src, core)
-
                 builder.dma(
                     core,
                     ctx.desc(MemKind.DDR, MemKind.GSM, re, kc, "A->A_g"),
-                    run=run,
+                    run=ctx.copy_in(
+                        ag_buf, Window("a", i0 + rs, j0), re, kc, core, row=rs
+                    ),
                     tag="A->A_g",
                 )
             builder.sync(tag=f"A_g[{i0},{j0}] ready")
@@ -94,17 +86,13 @@ def build_tgemm(
                 tslot = t_idx % 2
                 ba_buf = b_a[core][tslot]
                 ca_buf = c_a[core][tslot]
+                c_tile = Window("c", i0, t0)
                 builder.dma(
                     core,
                     ctx.desc(MemKind.DDR, MemKind.AM, kc, nc, "B->B_a"),
                     buffer="B_a",
                     slot=tslot,
-                    run=ctx.copy_in(
-                        ba_buf, ctx.data.b[j0 : j0 + kc, t0 : t0 + nc], kc, nc,
-                        core,
-                    )
-                    if ctx.backed
-                    else None,
+                    run=ctx.copy_in(ba_buf, Window("b", j0, t0), kc, nc, core),
                     tag="B->B_a",
                 )
                 builder.dma(
@@ -112,85 +100,40 @@ def build_tgemm(
                     ctx.desc(MemKind.DDR, MemKind.AM, mr, nc, "C->C_a"),
                     buffer="C_a",
                     slot=tslot,
-                    run=ctx.copy_in(
-                        ca_buf, ctx.data.c[i0 : i0 + mr, t0 : t0 + nc], mr, nc,
-                        core,
-                    )
-                    if ctx.backed
-                    else None,
+                    run=ctx.copy_in(ca_buf, c_tile, mr, nc, core),
                     tag="C->C_a",
                 )
                 last_kernel = -1
                 for ii_idx, ii0, ms_r in block_ranges(mr, plan.m_s):
                     aslot = ii_idx % 2
                     as_buf = a_s[core][aslot]
-                    run = None
-                    if ctx.backed:
-                        ag_arr = a_g[jslot].array()
-                        as_arr = as_buf.array()
-
-                        def run(
-                            as_arr=as_arr, ag_arr=ag_arr, ii0=ii0, ms_r=ms_r,
-                            kc=kc, core=core
-                        ) -> None:
-                            ctx.store(
-                                as_arr[:ms_r, :kc],
-                                ag_arr[ii0 : ii0 + ms_r, :kc],
-                                core,
-                            )
-
                     builder.dma(
                         core,
                         ctx.desc(MemKind.GSM, MemKind.SM, ms_r, kc, "A_g->A_s"),
                         buffer="A_s",
                         slot=aslot,
-                        run=run,
+                        run=ctx.copy_in(
+                            as_buf, Window(ag_buf, ii0, 0), ms_r, kc, core
+                        ),
                         tag="A_g->A_s",
                     )
                     kern = ctx.registry.tgemm(ms_r, nc, kc)
-                    krun = None
-                    if ctx.backed:
-                        as_arr = as_buf.array()
-                        ba_arr = ba_buf.array()
-                        ca_arr = ca_buf.array()
-
-                        def krun(
-                            kern=kern,
-                            as_arr=as_arr,
-                            ba_arr=ba_arr,
-                            ca_arr=ca_arr,
-                            ii0=ii0,
-                            ms_r=ms_r,
-                            kc=kc,
-                            nc=nc,
-                            core=core,
-                        ) -> None:
-                            ctx.apply_kernel(
-                                kern,
-                                as_arr[:ms_r, :kc],
-                                ba_arr[:kc, :nc],
-                                ca_arr[ii0 : ii0 + ms_r, :nc],
-                                core,
-                            )
-
                     last_kernel = builder.kernel(
                         core,
                         kern.cycles,
                         kern.flops,
                         reads=(("A_s", aslot), ("B_a", tslot), ("C_a", tslot)),
-                        run=krun,
+                        run=ctx.kernel_call(
+                            kern, as_buf, ba_buf, ca_buf, ms_r, nc, kc, core,
+                            c_row=ii0,
+                        ),
                         tag=f"mk{ms_r}x{nc}x{kc}",
                     )
                 out_idx = builder.dma(
                     core,
                     ctx.desc(MemKind.AM, MemKind.DDR, mr, nc, "C_a->C"),
                     extra_deps=(last_kernel,) if last_kernel >= 0 else (),
-                    run=ctx.copy_out(
-                        ctx.data.c[i0 : i0 + mr, t0 : t0 + nc], ca_buf, mr, nc,
-                        core,
-                    )
-                    if ctx.backed
-                    else None,
+                    run=ctx.copy_out(c_tile, ca_buf, mr, nc, core),
                     tag="C_a->C",
                 )
                 builder.consume(core, "C_a", tslot, out_idx)
@@ -207,4 +150,5 @@ def build_tgemm(
         peak_am=max(s.peak_used for s in ctx.spaces.am),
         peak_sm=max(s.peak_used for s in ctx.spaces.sm),
         peak_gsm=ctx.spaces.gsm.peak_used,
+        context=ctx,
     )

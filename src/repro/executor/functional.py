@@ -1,6 +1,7 @@
 """Functional execution of a lowered plan.
 
-Replays every op's closure in global emission order (``Op.seq``).  The
+Replays every op's closure in global emission order (``Op.seq``, sorted
+once per plan — a cached template replays without re-sorting).  The
 drivers emit in the sequential order of the paper's algorithms, so this
 computes the exact blocked result — including TGEMM's implicit padding,
 the K-parallel partial-sum reduction, and every edge/remainder tile —
@@ -32,7 +33,7 @@ class FunctionalReport:
 
 
 def run_functional(execution: GemmExecution, faults=None) -> FunctionalReport:
-    """Run all op closures; the C operand passed at lowering is updated.
+    """Run all op closures; the bound C operand is updated.
 
     ``faults`` (a :class:`~repro.faults.inject.FaultInjector`) arms the
     core-failure model for this mode: before each op runs, the owning
@@ -43,35 +44,23 @@ def run_functional(execution: GemmExecution, faults=None) -> FunctionalReport:
     guards), so a replay either computes the exact blocked result or
     raises — never returns silently wrong data.
     """
-    ops = sorted(
-        (op for core_ops in execution.core_ops for op in core_ops),
-        key=lambda op: op.seq,
-    )
-    dma = kern = sync = 0
-    bytes_moved = 0
-    flops = 0
-    ops_done: dict[int, int] = {}
-    for op in ops:
-        if faults is not None:
-            done = ops_done.get(op.core, 0)
-            faults.check_core_alive_functional(op.core, done)
-            ops_done[op.core] = done + 1
-        if op.run is not None:
-            op.run()
-        if op.kind is OpKind.DMA:
-            dma += 1
-            bytes_moved += op.desc.nbytes if op.desc else 0
-        elif op.kind is OpKind.KERNEL:
-            kern += 1
-            flops += op.flops
-        else:
-            sync += 1
+    if faults is None:
+        for run in execution.replay_runs:
+            run()
+    else:
+        ops_done = [0] * len(execution.core_ops)
+        for op in execution.replay_ops:
+            faults.check_core_alive_functional(op.core, ops_done[op.core])
+            ops_done[op.core] += 1
+            if op.run is not None:
+                op.run()
+    counts = execution.op_counts
     return FunctionalReport(
-        ops_executed=len(ops),
-        dma_ops=dma,
-        kernel_ops=kern,
-        sync_ops=sync,
-        bytes_moved=bytes_moved,
-        flops=flops,
+        ops_executed=sum(counts.values()),
+        dma_ops=counts[OpKind.DMA],
+        kernel_ops=counts[OpKind.KERNEL],
+        sync_ops=counts[OpKind.SYNC],
+        bytes_moved=execution.total_dma_bytes,
+        flops=execution.total_flops,
         kernel_exec=execution.meta.get("kernel_exec", "numpy"),
     )

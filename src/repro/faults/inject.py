@@ -206,19 +206,24 @@ def _abft_expect(a, b, c_before):
     a64 = a.astype(np.float64, copy=False)
     b64 = b.astype(np.float64, copy=False)
     c64 = c_before.astype(np.float64, copy=False)
-    exp_rows = c64.sum(axis=1) + a64 @ b64.sum(axis=1)
-    exp_cols = c64.sum(axis=0) + a64.sum(axis=0) @ b64
     k = a.shape[1]
     gamma = _ABFT_SLACK * np.finfo(a.dtype).eps * (k + 8)
-    abs_a, abs_b = np.abs(a64), np.abs(b64)
-    row_mag = abs_a @ abs_b.sum(axis=1) + np.abs(c64).sum(axis=1)
-    col_mag = abs_a.sum(axis=0) @ abs_b + np.abs(c64).sum(axis=0)
+    # non-finite entries classify as detections in _abft_ok, not warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        exp_rows = c64.sum(axis=1) + a64 @ b64.sum(axis=1)
+        exp_cols = c64.sum(axis=0) + a64.sum(axis=0) @ b64
+        abs_a, abs_b = np.abs(a64), np.abs(b64)
+        row_mag = abs_a @ abs_b.sum(axis=1) + np.abs(c64).sum(axis=1)
+        col_mag = abs_a.sum(axis=0) @ abs_b + np.abs(c64).sum(axis=0)
     return exp_rows, exp_cols, gamma * row_mag + _ABFT_FLOOR, gamma * col_mag + _ABFT_FLOOR
 
 
 def _abft_ok(c, exp_rows, exp_cols, tol_rows, tol_cols) -> bool:
-    rows = c.sum(axis=1, dtype=np.float64)
-    cols = c.sum(axis=0, dtype=np.float64)
+    """Checksums within tolerance; a non-finite checksum (a bit flip made
+    an inf, and inf - inf a NaN) is a detection, not a warning."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = c.sum(axis=1, dtype=np.float64)
+        cols = c.sum(axis=0, dtype=np.float64)
     if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
         return False
     return bool(

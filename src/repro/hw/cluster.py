@@ -25,18 +25,25 @@ _DDR_CAPACITY = 1 << 40
 
 
 class ClusterSpaces:
-    """Memory spaces of one cluster, for capacity-checked functional runs."""
+    """Memory spaces of one cluster, for capacity-checked functional runs.
+
+    Backed buffers in the on-chip spaces (GSM, AM, SM) are views into
+    the cluster configuration's shared scratch arenas
+    (:func:`~repro.hw.memory.scratch_arena`), never fresh arrays.
+    """
 
     def __init__(self, cfg: ClusterConfig) -> None:
         self.cfg = cfg
         self.ddr = MemorySpace("ddr", MemKind.DDR, _DDR_CAPACITY)
-        self.gsm = MemorySpace("gsm", MemKind.GSM, cfg.gsm_bytes)
+        self.gsm = MemorySpace(
+            "gsm", MemKind.GSM, cfg.gsm_bytes, arena_owner=cfg
+        )
         self.am = [
-            MemorySpace(f"am{i}", MemKind.AM, cfg.core.am_bytes)
+            MemorySpace(f"am{i}", MemKind.AM, cfg.core.am_bytes, arena_owner=cfg)
             for i in range(cfg.n_cores)
         ]
         self.sm = [
-            MemorySpace(f"sm{i}", MemKind.SM, cfg.core.sm_bytes)
+            MemorySpace(f"sm{i}", MemKind.SM, cfg.core.sm_bytes, arena_owner=cfg)
             for i in range(cfg.n_cores)
         ]
 

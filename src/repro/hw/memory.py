@@ -10,12 +10,22 @@ fail loudly.
 :class:`MemorySpace` is a first-fit allocator with coalescing free list.
 Buffers optionally carry a NumPy array (functional execution); timing-only
 runs allocate unbacked buffers so multi-gigabyte DDR operands cost nothing.
+
+A space with an ``arena_owner`` is backed by a **scratch arena**
+(:func:`scratch_arena`): one byte array per (owner, space) sized at the
+modeled capacity, of which every backed buffer is a view at its
+allocated offset.  All lowerings for one cluster configuration then
+share the same on-chip scratch — exactly as on the chip — so resident
+scratch is bounded by the simulated memory, not by how many lowered
+plans are alive.  Arena bytes are never zeroed: a plan replaying on an
+arena must write every scratch byte before it reads it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Hashable, Iterator
 
 import numpy as np
 
@@ -91,6 +101,10 @@ class MemorySpace:
     kind: MemKind
     capacity: int
     alignment: int = 64
+    #: when set, backed buffers are views into the scratch arena of
+    #: (``arena_owner``, ``name``) at their offset instead of fresh
+    #: zeroed arrays
+    arena_owner: Hashable | None = field(default=None, repr=False)
     _free: list[tuple[int, int]] = field(default_factory=list)  # (offset, size)
     _used: int = 0
     _live: int = 0
@@ -151,7 +165,13 @@ class MemorySpace:
         self._used += rounded
         self._live += 1
         self.peak_used = max(self.peak_used, self._used)
-        data = np.zeros(shape, dtype=dt) if backed else None
+        data = None
+        if backed:
+            if self.arena_owner is None:
+                data = np.zeros(shape, dtype=dt)
+            else:
+                arena = scratch_arena(self.arena_owner, self.name, self.capacity)
+                data = arena[offset : offset + nbytes].view(dt).reshape(shape)
         return Buffer(
             space=self,
             offset=offset,
@@ -220,6 +240,30 @@ class MemorySpace:
             f"MemorySpace({self.name}, {self.kind.value}, "
             f"{self._used}/{self.capacity} B used)"
         )
+
+
+#: (owner, space name) -> the arena backing that space's tiles
+_ARENAS: dict[tuple[Hashable, str], np.ndarray] = {}
+
+
+def scratch_arena(owner: Hashable, name: str, capacity: int) -> np.ndarray:
+    """The scratch arena of space ``name`` for ``owner`` (created once).
+
+    ``owner`` is a value key (a cluster configuration): every
+    :class:`MemorySpace` built for the same owner and name shares one
+    uninitialized ``capacity``-byte array.
+    """
+    key = (owner, name)
+    arena = _ARENAS.get(key)
+    if arena is None:
+        arena = _ARENAS[key] = np.empty(capacity, dtype=np.uint8)
+    return arena
+
+
+def scratch_arenas() -> Iterator[np.ndarray]:
+    """Every scratch arena created in this process (tests poison them to
+    prove no replay reads scratch before writing it)."""
+    return iter(list(_ARENAS.values()))
 
 
 def make_core_spaces(core_id: int, am_bytes: int, sm_bytes: int) -> dict[MemKind, MemorySpace]:

@@ -129,9 +129,16 @@ class ShapeBucketBatcher:
         """Requests admitted but not yet closed into a batch."""
         return sum(len(reqs) for reqs in self._buckets.values())
 
-    def add(self, req: GemmRequest, now: float) -> Batch | None:
-        """Admit one request; returns a batch if its bucket just filled."""
-        key = bucket_key(req, by_digest=self.by_digest)
+    def add(
+        self, req: GemmRequest, now: float, key: BucketKey | None = None
+    ) -> Batch | None:
+        """Admit one request; returns a batch if its bucket just filled.
+
+        ``key`` is the request's :func:`bucket_key` when the caller has
+        already computed it (hashing B is the costly part).
+        """
+        if key is None:
+            key = bucket_key(req, by_digest=self.by_digest)
         bucket = self._buckets.setdefault(key, [])
         bucket.append(req)
         if len(bucket) >= self.max_batch:

@@ -588,11 +588,11 @@ class ServeEngine:
         self._gauge_queue()
         if m is not None:
             m.counter("serve/requests/admitted").inc()
-        batch = self.batcher.add(req, now)
+        key = bucket_key(req, by_digest=self.config.by_digest)
+        batch = self.batcher.add(req, now, key)
         if batch is not None:
             self._on_close(batch, now)
         else:
-            key = bucket_key(req, by_digest=self.config.by_digest)
             due = self.batcher.due_at(key)
             # only the request that *opened* the bucket arms its timer;
             # a bucket re-opened after a close gets a fresh event
@@ -792,12 +792,13 @@ class ServeEngine:
                 )
                 break
             except FaultError as exc:
-                # the failed attempt's modeled time is honestly lost
+                # the failed attempt's modeled time is honestly lost,
+                # costed in the run's own timing mode
                 lost_s += grouped_gemm(
                     None, None, None,
                     m_blocks=[r.shape.m for r in batch.requests],
                     n=n, k=k,
-                    machine=self.machine, timing="analytic",
+                    machine=self.machine, timing=cfg.timing,
                 ).seconds
                 attempt += 1
                 redispatches += 1

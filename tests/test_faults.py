@@ -146,6 +146,23 @@ class TestBitflipRecovery:
         assert report.abft_recomputes == report.abft_detected
         assert np.array_equal(c, baseline)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_checksum_is_a_detection(self, dtype, bad):
+        from repro.faults.inject import _abft_expect, _abft_ok
+
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((6, 8)).astype(dtype)
+        b = rng.standard_normal((8, 5)).astype(dtype)
+        c = rng.standard_normal((6, 5)).astype(dtype)
+        expect = _abft_expect(a, b, c)
+        c += a @ b
+        assert _abft_ok(c, *expect)
+        c[2, 3] = bad
+        c[4, 1] = -np.inf  # inf - inf: a NaN checksum
+        assert not _abft_ok(c, *expect)
+
     def test_f64_abft_recovery_exact(self):
         rng = np.random.default_rng(2)
         m, n, k = 48, 16, 64

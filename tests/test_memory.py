@@ -26,6 +26,24 @@ class TestAlloc:
         assert buf.array().shape == (4, 4)
         assert np.all(buf.array() == 0)
 
+    def test_arena_backed_buffers_are_views_at_their_offset(self):
+        def arena_space(owner):
+            return MemorySpace("arena-test", MemKind.AM, 4096, arena_owner=owner)
+
+        first, second = arena_space("x"), arena_space("x")
+        a = first.alloc((4, 4), np.float32, backed=True)
+        b = first.alloc((2, 2), np.float64, backed=True)
+        a.array()[...] = 1.0
+        b.array()[...] = 2.0
+        # a second space of the same owner shares the bytes...
+        again = second.alloc((4, 4), np.float32, backed=True)
+        assert np.shares_memory(again.array(), a.array())
+        assert np.all(again.array() == 1.0)
+        # ...disjoint buffers do not overlap, other owners do not share
+        assert not np.shares_memory(a.array(), b.array())
+        other = arena_space("y").alloc((4, 4), np.float32, backed=True)
+        assert not np.shares_memory(other.array(), a.array())
+
     def test_alloc_unbacked_array_raises(self):
         buf = space().alloc((4, 4))
         with pytest.raises(AllocationError):

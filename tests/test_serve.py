@@ -217,6 +217,22 @@ class TestFaultsUnderServe:
         # lost time from failed attempts is charged to the batches
         assert sum(b.lost_s for b in rep.batches) > 0
 
+    def test_failed_attempts_costed_in_the_run_timing_mode(self):
+        plan = FaultPlan(seed=3, bitflip_rate=1.0, max_kernel_retries=0)
+        for timing in ("analytic", "des"):
+            rep = serve(fast_requests(n=6),
+                        ServeConfig(faults=plan, max_redispatch=1,
+                                    verify=False, timing=timing))
+            assert rep.failed == 6
+            for b in rep.batches:
+                n, k = map(int, b.bucket.split("/")[0].split("x")[1:])
+                attempt_s = ftimm_gemm(b.stacked_m, n, k,
+                                       timing=timing).seconds
+                # both attempts failed; each is charged its modeled time
+                # in the run's own timing mode
+                assert b.redispatches == 2
+                assert b.lost_s == pytest.approx(2 * attempt_s, rel=1e-12)
+
     def test_redispatch_recovers_from_transient_faults(self):
         plan = FaultPlan(seed=2, bitflip_rate=0.05, max_kernel_retries=0)
         rep = serve(fast_requests(n=16, seed=4),

@@ -34,6 +34,10 @@ from repro.serve.request import COMPLETED, FAILED, SHED
 
 from test_serve import fast_requests
 
+#: faulted cases must stay warning-clean: a bit-flipped inf/NaN tile is
+#: an ABFT detection, never a numpy RuntimeWarning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SEEDS = [0, 1, 2]
 POLICIES = ["fifo", "least_loaded", "edf"]
 REPLICATE = ["off", "static", "adaptive"]
