@@ -138,16 +138,22 @@ class GemmExecution:
                 f"plan has {len(self.core_ops)} op streams for "
                 f"{self.cluster.n_cores} cores"
             )
+        # one pass per core: validate each op and count its sync ids;
+        # every sync id must appear exactly once in every core stream
+        n_syncs = self.n_syncs
+        hits = []
         for ops in self.core_ops:
+            counts = [0] * n_syncs
             for i, op in enumerate(ops):
                 op.validate(i)
-        # every sync id must appear exactly once in every core stream
-        for sid in range(self.n_syncs):
-            for core, ops in enumerate(self.core_ops):
-                hits = [o for o in ops if o.kind is OpKind.SYNC and o.sync_id == sid]
-                if len(hits) != 1:
+                if op.kind is OpKind.SYNC and op.sync_id < n_syncs:
+                    counts[op.sync_id] += 1
+            hits.append(counts)
+        for sid in range(n_syncs):
+            for core, counts in enumerate(hits):
+                if counts[sid] != 1:
                     raise PlanError(
-                        f"sync {sid} appears {len(hits)} times on core {core}"
+                        f"sync {sid} appears {counts[sid]} times on core {core}"
                     )
         return self
 

@@ -10,12 +10,21 @@ Each core's op stream is walked by a simulation process:
   then until all cores arrived, then a barrier delay plus any modeled
   reduction time elapses.
 
-Because processes spawn eagerly inside an epoch, DMA for iteration ``i+1``
+Because ops spawn eagerly inside an epoch, DMA for iteration ``i+1``
 naturally overlaps compute for iteration ``i`` exactly where the plan's
 dependencies allow — the ping-pong behaviour of Algorithms 1, 4 and 5
 emerges rather than being hard-coded.
 
-A sliding window caps in-flight processes per core so multi-hundred-
+An op is a callback state machine: a
+:class:`~repro.hw.dma.DmaTransfer` or :class:`~repro.hw.cluster.KernelRun`
+extended with a dependency wait in front (where the core-failure hook
+runs) and the run's observation hooks behind.  Its first step is pushed
+when the walker spawns it.  Ties at equal simulated times, which
+identical per-core streams produce everywhere, break on push order, so
+the order of every push is part of the timeline
+(``tests/test_des_timeline.py`` pins it).
+
+A sliding window caps in-flight ops per core so multi-hundred-
 thousand-op plans simulate in bounded memory.
 
 Observability: when a metrics registry is active (``repro.obs.collecting``)
@@ -30,16 +39,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.plans import GemmExecution, OpKind
+from ..core.plans import GemmExecution, Op, OpKind
 from ..errors import SimulationError
-from ..hw.cluster import ClusterSim
+from ..hw.cluster import ClusterSim, KernelRun
+from ..hw.dma import DmaTransfer
 from ..hw.event_sim import Event, Simulator
 from ..obs import MetricsRegistry, RunProfile
 from ..obs.registry import current as _obs_current
-from ..obs.trace import current_tracer
+from ..obs.trace import Tracer, current_tracer
 from .trace import TraceRecorder
 
-#: max op processes spawned ahead of the oldest incomplete one, per core.
+#: max ops spawned ahead of the oldest incomplete one, per core.
 _WINDOW = 128
 
 
@@ -122,8 +132,8 @@ def run_timed(
     arrivals: dict[int, list[Event]] = {}
     done: dict[int, Event] = {}
     for sid in range(execution.n_syncs):
-        arrivals[sid] = [sim.event(f"arrive{sid}c{c}") for c in range(n_cores)]
-        done[sid] = sim.event(f"sync{sid}done")
+        arrivals[sid] = [sim.event() for _c in range(n_cores)]
+        done[sid] = sim.event()
 
     barrier_s = execution.cluster.barrier_cycles / execution.cluster.core.clock_hz
     sync_seconds: dict[int, float] = {}
@@ -135,16 +145,11 @@ def run_timed(
                 sync_tags.setdefault(op.sync_id, op.tag)
 
     for sid in range(execution.n_syncs):
-        def _arm(sid: int = sid) -> None:
-            gathered = sim.all_of(arrivals[sid])
+        def _release(_ev: Event, sid: int = sid) -> None:
+            delay = barrier_s + sync_seconds.get(sid, 0.0)
+            sim._schedule_at(sim.now + delay, done[sid], None)
 
-            def _fire(_ev: Event, sid: int = sid) -> None:
-                delay = barrier_s + sync_seconds.get(sid, 0.0)
-                sim.timeout(delay).wait(lambda _e: done[sid].succeed())
-
-            gathered.wait(_fire)
-
-        _arm()
+        sim.all_of(arrivals[sid]).wait(_release)
         if prof is not None:
             # each sync completion closes an epoch at the global timeline
             done[sid].wait(
@@ -153,55 +158,18 @@ def run_timed(
                 )
             )
 
-    clock = execution.cluster.core.clock_hz
-
-    def dma_proc(core: int, op, dep_events: list[Event], epoch: int):
-        if dep_events:
-            yield sim.all_of(dep_events)
-        if faults is not None:
-            faults.check_core_alive_timed(core, sim.now)
-        start = sim.now
-        yield cluster.cores[core].dma.issue(op.desc)
-        if prof is not None:
-            prof.add_dma(
-                epoch, core, start, sim.now,
-                op.desc.medium.value, op.desc.nbytes,
-            )
-        if trace is not None:
-            trace.add(f"core{core}/dma", op.tag or "dma", start, sim.now, "dma")
-
-    def kernel_proc(core: int, op, dep_events: list[Event], epoch: int):
-        if dep_events:
-            yield sim.all_of(dep_events)
-        if faults is not None:
-            faults.check_core_alive_timed(core, sim.now)
-        yield cluster.cores[core].run_kernel(op.cycles, tag=op.tag)
-        duration = op.cycles / clock
-        if prof is not None:
-            prof.add_compute(epoch, core, duration)
-        if trace is not None:
-            trace.add(
-                f"core{core}/compute", op.tag or "kernel",
-                sim.now - duration, sim.now, "kernel",
-            )
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.record(
-                op.tag or "kernel",
-                category="kernel",
-                start_s=sim.now - duration,
-                end_s=sim.now,
-                track=f"core{core}/compute",
-                args={"core": core, "cycles": op.cycles, "epoch": epoch},
-            )
+    hooks = _RunHooks(faults, prof, trace, current_tracer())
 
     def walk(core: int, ops):
+        core_sim = cluster.cores[core]
         events: list[Event | None] = [None] * len(ops)
         epoch = 0
+        # every op before the last SYNC had completed when it released
+        settled = 0
         for idx, op in enumerate(ops):
             if idx >= _WINDOW:
                 old = events[idx - _WINDOW]
-                if old is not None and not old.triggered:
+                if not old.triggered:
                     if prof is not None:
                         stall_t0 = sim.now
                         yield old
@@ -209,7 +177,7 @@ def run_timed(
                     else:
                         yield old
             if op.kind is OpKind.SYNC:
-                prior = [e for e in events[:idx] if e is not None and not e.triggered]
+                prior = [e for e in events[settled:idx] if not e.triggered]
                 if prior:
                     yield sim.all_of(prior)
                 arrival_t = sim.now
@@ -222,9 +190,8 @@ def run_timed(
                         "cluster/sync", op.tag or f"sync{op.sync_id}",
                         arrival_t, sim.now, "sync",
                     )
-                tracer = current_tracer()
-                if tracer is not None and core == 0:
-                    tracer.record(
+                if hooks.tracer is not None and core == 0:
+                    hooks.tracer.record(
                         op.tag or f"sync{op.sync_id}",
                         category="sync",
                         start_s=arrival_t,
@@ -233,28 +200,25 @@ def run_timed(
                         args={"sync_id": op.sync_id},
                     )
                 events[idx] = done[op.sync_id]
+                settled = idx + 1
                 epoch += 1
                 continue
             deps = [events[d] for d in op.deps]
-            if any(e is None for e in deps):
+            if None in deps:
                 raise SimulationError(f"op {idx} on core {core} has unresolved dep")
             if op.kind is OpKind.DMA:
-                events[idx] = sim.process(
-                    dma_proc(core, op, deps, epoch), f"dma{core}.{idx}"
-                )
+                events[idx] = _DmaOp(hooks, core_sim.dma, op, deps, epoch)
             else:
-                events[idx] = sim.process(
-                    kernel_proc(core, op, deps, epoch), f"k{core}.{idx}"
-                )
-        remaining = [e for e in events if e is not None and not e.triggered]
+                events[idx] = _KernelOp(hooks, core_sim, op, deps, epoch)
+        remaining = [e for e in events[settled:] if not e.triggered]
         if remaining:
             yield sim.all_of(remaining)
 
     walkers = [
-        sim.process(walk(core, ops), f"walk{core}")
+        sim.process(walk(core, ops))
         for core, ops in enumerate(execution.core_ops)
     ]
-    sim.all_of(walkers, "plan_done")
+    sim.all_of(walkers)
     sim.run()
     for w in walkers:
         if not w.triggered:
@@ -264,10 +228,9 @@ def run_timed(
 
     if prof is not None:
         prof.finish(sim.now)
-    tracer = current_tracer()
-    if tracer is not None and prof is not None:
+    if hooks.tracer is not None and prof is not None:
         for ep in prof.epochs:
-            tracer.record(
+            hooks.tracer.record(
                 ep.sync_tag or f"epoch{ep.index}",
                 category="epoch",
                 start_s=ep.start,
@@ -311,6 +274,124 @@ def run_timed(
         ddr_utilization=utilization,
         profile=prof,
     )
+
+
+class _RunHooks:
+    """The fault and observation hooks of one :func:`run_timed` call."""
+
+    __slots__ = ("faults", "prof", "trace", "tracer")
+
+    def __init__(self, faults, prof: RunProfile | None,
+                 trace: TraceRecorder | None, tracer: Tracer | None) -> None:
+        self.faults = faults
+        self.prof = prof
+        self.trace = trace
+        self.tracer = tracer
+
+
+class _AfterDeps:
+    """An op that waits for its ``deps`` before it launches.
+
+    Registers on the pending deps when its first step runs, in dep
+    order (where a barrier over them would register), and launches the
+    moment the last one fires.  A failed core raises here, as the op
+    would issue work.
+    """
+
+    __slots__ = ()
+
+    def _start(self, deps: list[Event]) -> None:
+        pending = 0
+        for ev in deps:
+            if not ev.triggered:
+                pending += 1
+                ev.callbacks.append(self._dep_done)
+        self.pending = pending
+        if not pending:
+            self._ready()
+
+    def _dep_done(self, _ev: Event) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self._ready()
+
+    def _ready(self) -> None:
+        faults = self.hooks.faults
+        if faults is not None:
+            faults.check_core_alive_timed(self.core_id, self.sim.now)
+        self.launch()
+
+
+class _DmaOp(_AfterDeps, DmaTransfer):
+    """A DMA op: deps, then the core's DMA engine, then its hooks.
+
+    Its span starts at the slot request, which runs at the simulated
+    instant the deps released it.
+    """
+
+    __slots__ = ("hooks", "core_id", "epoch", "pending")
+
+    def __init__(self, hooks: _RunHooks, engine, op: Op,
+                 deps: list[Event], epoch: int) -> None:
+        DmaTransfer.__init__(self, engine, op.desc)
+        self.name = op.tag
+        self.hooks = hooks
+        self.core_id = engine.core_id
+        self.epoch = epoch
+        self.sim._call_at(self.sim.now, self._start, deps)
+
+    def _complete(self) -> None:
+        hooks = self.hooks
+        now = self.sim.now
+        if hooks.prof is not None:
+            hooks.prof.add_dma(
+                self.epoch, self.core_id, self.t_request, now,
+                self.desc.medium.value, self.desc.nbytes,
+            )
+        if hooks.trace is not None:
+            hooks.trace.add(
+                f"core{self.core_id}/dma", self.name or "dma",
+                self.t_request, now, "dma",
+            )
+        self.succeed()
+
+
+class _KernelOp(_AfterDeps, KernelRun):
+    """A KERNEL op: deps, then the core's compute pipeline, then hooks."""
+
+    __slots__ = ("hooks", "core_id", "epoch", "pending")
+
+    def __init__(self, hooks: _RunHooks, core, op: Op,
+                 deps: list[Event], epoch: int) -> None:
+        KernelRun.__init__(self, core, op.cycles, op.tag)
+        self.hooks = hooks
+        self.core_id = core.core_id
+        self.epoch = epoch
+        self.sim._call_at(self.sim.now, self._start, deps)
+
+    def _complete(self) -> None:
+        hooks = self.hooks
+        core = self.core_id
+        now = self.sim.now
+        duration = self.cycles / self.core.cfg.clock_hz
+        if hooks.prof is not None:
+            hooks.prof.add_compute(self.epoch, core, duration)
+        if hooks.trace is not None:
+            hooks.trace.add(
+                f"core{core}/compute", self.name or "kernel",
+                now - duration, now, "kernel",
+            )
+        if hooks.tracer is not None:
+            hooks.tracer.record(
+                self.name or "kernel",
+                category="kernel",
+                start_s=now - duration,
+                end_s=now,
+                track=f"core{core}/compute",
+                args={"core": core, "cycles": self.cycles,
+                      "epoch": self.epoch},
+            )
+        self.succeed()
 
 
 def _publish_metrics(

@@ -15,19 +15,24 @@ reschedules the next completion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..errors import SimulationError
 from .event_sim import Event, Simulator
 
 _EPS_BYTES = 1e-6
 
+#: completion callback of one transfer, called with ``None``
+OnDone = Callable[[Any], None]
 
-@dataclass
+
 class _Flow:
-    remaining: float
-    done: Event
-    tag: str = ""
+    __slots__ = ("remaining", "on_done")
+
+    def __init__(self, remaining: float, on_done: OnDone) -> None:
+        self.remaining = remaining
+        self.on_done = on_done
 
 
 @dataclass
@@ -133,18 +138,24 @@ class SharedChannel:
     # -- public API --------------------------------------------------------
 
     def transfer(self, nbytes: float, tag: str = "") -> Event:
-        """Start a transfer of ``nbytes``; returns its completion event."""
+        """Start a transfer of ``nbytes``; returns its completion event
+        (named ``tag``)."""
+        done = Event(self.sim, name=tag)
+        self.begin(nbytes, done._fire)
+        return done
+
+    def begin(self, nbytes: float, on_done: OnDone) -> None:
+        """Start a transfer of ``nbytes``; ``on_done(None)`` runs when it
+        completes (the callback form of :meth:`transfer`)."""
         if nbytes < 0:
             raise SimulationError(f"negative transfer size {nbytes}")
-        done = Event(self.sim, name=f"xfer:{self.name}:{tag}")
         if nbytes == 0:
-            self.sim._schedule_at(self.sim.now, done, None)
-            return done
+            self.sim._call_at(self.sim.now, on_done)
+            return
         self._advance()
-        self._flows.append(_Flow(float(nbytes), done, tag))
+        self._flows.append(_Flow(float(nbytes), on_done))
         self._record()
         self._reschedule()
-        return done
 
     @property
     def active_flows(self) -> int:
@@ -188,7 +199,7 @@ class SharedChannel:
         for flow in finished:
             self._flows.remove(flow)
             self.stats.flows_completed += 1
-            flow.done.succeed(None)
+            flow.on_done(None)
         if finished:
             self._record()
 
@@ -203,7 +214,6 @@ class SharedChannel:
         self._epoch += 1
         if not self._flows:
             return
-        epoch = self._epoch
         n = len(self._flows)
         rate = self.bandwidth * self._factor_at(self.sim.now) / n
         if self.per_flow_cap is not None:
@@ -213,9 +223,7 @@ class SharedChannel:
         boundary = self._next_boundary(self.sim.now)
         if boundary is not None:
             delay = min(delay, boundary - self.sim.now)
-        wake = Event(self.sim, name=f"wake:{self.name}")
-        wake.wait(lambda _ev: self._on_wake(epoch))
-        self.sim._schedule_at(self.sim.now + delay, wake, None)
+        self.sim._call_at(self.sim.now + delay, self._on_wake, self._epoch)
 
     def _on_wake(self, epoch: int) -> None:
         if epoch != self._epoch:
@@ -241,6 +249,11 @@ class LocalChannel:
         self.stats = ChannelStats()
 
     def transfer(self, nbytes: float, tag: str = "") -> Event:
+        done = Event(self.sim, name=tag)
+        self.begin(nbytes, done._fire)
+        return done
+
+    def begin(self, nbytes: float, on_done: OnDone) -> None:
         if nbytes < 0:
             raise SimulationError(f"negative transfer size {nbytes}")
         self.stats.bytes_served += nbytes
@@ -248,7 +261,7 @@ class LocalChannel:
         delay = nbytes / self.bandwidth
         self.stats.busy_time += delay
         self.stats.weighted_concurrency += delay
-        return self.sim.timeout(delay)
+        self.sim._call_at(self.sim.now + delay, on_done)
 
     @property
     def active_flows(self) -> int:  # parity with SharedChannel

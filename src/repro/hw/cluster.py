@@ -92,19 +92,50 @@ class CoreSim:
         self.compute_cycles = 0
         self.busy_time = 0.0
 
-    def run_kernel(self, cycles: int, tag: str = "") -> Event:
+    def run_kernel(self, cycles: int, tag: str = "") -> "KernelRun":
         """Occupy the compute pipeline for ``cycles`` cycles."""
-        return self.sim.process(self._compute(cycles), name=f"k{self.core_id}:{tag}")
+        run = KernelRun(self, cycles, tag)
+        run.launch()
+        return run
 
-    def _compute(self, cycles: int):
-        yield self.compute.request()
-        try:
-            duration = cycles / self.cfg.clock_hz
-            self.compute_cycles += cycles
-            self.busy_time += duration
-            yield self.sim.timeout(duration)
-        finally:
-            self.compute.release()
+
+class KernelRun(Event):
+    """One micro-kernel on a core's compute pipeline, as callbacks.
+
+    Each step is one simulator push: :meth:`launch` pushes the pipeline
+    request, the pipeline's FIFO pushes the grant, the grant pushes the
+    end of the ``cycles``-long occupation, which releases the pipeline
+    and fires this event through :meth:`_complete` (extended by the
+    timed executor's kernel ops).
+    """
+
+    __slots__ = ("core", "cycles")
+
+    def __init__(self, core: CoreSim, cycles: int, tag: str = "") -> None:
+        Event.__init__(self, core.sim, tag)
+        self.core = core
+        self.cycles = cycles
+
+    def launch(self) -> None:
+        """Request the pipeline at the current simulated time."""
+        self.sim._call_at(self.sim.now, self._request)
+
+    def _request(self, _arg) -> None:
+        self.core.compute.acquire(self._granted)
+
+    def _granted(self, _arg) -> None:
+        core = self.core
+        duration = self.cycles / core.cfg.clock_hz
+        core.compute_cycles += self.cycles
+        core.busy_time += duration
+        self.sim._call_at(self.sim.now + duration, self._finished)
+
+    def _finished(self, _arg) -> None:
+        self.core.compute.release()
+        self._complete()
+
+    def _complete(self) -> None:
+        self.succeed()
 
 
 class ClusterSim:

@@ -24,7 +24,7 @@ explain ftIMM reaching only ~67% of its roofline (Section V-C1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from ..errors import DmaTransferError, PlanError
@@ -46,24 +46,23 @@ class DmaDescriptor:
     rows: int
     row_bytes: int
     tag: str = ""
+    #: the slowest memory level this transfer touches (derived)
+    medium: MemKind = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.row_bytes < 0:
             raise PlanError(f"negative DMA geometry in {self}")
+        if MemKind.DDR in (self.src, self.dst):
+            medium = MemKind.DDR
+        elif MemKind.GSM in (self.src, self.dst):
+            medium = MemKind.GSM
+        else:
+            medium = MemKind.AM
+        object.__setattr__(self, "medium", medium)
 
     @property
     def nbytes(self) -> int:
         return self.rows * self.row_bytes
-
-    @property
-    def medium(self) -> MemKind:
-        """The slowest memory level this transfer touches."""
-        kinds = {self.src, self.dst}
-        if MemKind.DDR in kinds:
-            return MemKind.DDR
-        if MemKind.GSM in kinds:
-            return MemKind.GSM
-        return MemKind.AM
 
     def effective_bytes(self, cfg: DmaConfig) -> int:
         if self.medium is MemKind.DDR:
@@ -136,81 +135,141 @@ class DmaEngine:
         #: payload bytes moved, keyed by medium value ("ddr", "gsm", "am")
         self.bytes_by_medium: dict[str, int] = {}
 
-    def issue(self, desc: DmaDescriptor) -> Event:
+    def issue(self, desc: DmaDescriptor) -> "DmaTransfer":
         """Start a transfer; returns the event that fires at completion."""
-        return self.sim.process(self._run(desc), name=f"dma{self.core_id}:{desc.tag}")
+        xfer = DmaTransfer(self, desc)
+        xfer.launch()
+        return xfer
 
-    def _run(self, desc: DmaDescriptor):
-        queued = self.slots.queued
-        if queued + 1 > self.queue_depth_peak and self.slots.in_use >= self.slots.capacity:
-            self.queue_depth_peak = queued + 1
-        t_request = self.sim.now
-        yield self.slots.request()
-        self.queue_wait_s += self.sim.now - t_request
-        try:
-            if desc.nbytes > 0:
-                issue_idx = self._issued
-                self._issued += 1
-                attempt = 0
-                while True:
-                    t0 = self.sim.now
-                    yield self.sim.timeout(self.startup_s)
-                    channel = self.channels[desc.medium]
-                    yield channel.transfer(
-                        desc.effective_bytes(self.cfg), tag=desc.tag
-                    )
-                    inj = self.faults
-                    if inj is None or not inj.dma_transfer_fails(
-                        self.core_id, issue_idx, attempt
-                    ):
-                        break
-                    # transfer failed: the time it took is already spent;
-                    # back off exponentially, then re-issue from scratch
-                    attempt += 1
-                    wasted = self.sim.now - t0
-                    if attempt > inj.plan.max_dma_retries:
-                        self.retries += 1
-                        self.retry_s += wasted
-                        inj.count("dma_retries")
-                        inj.count("dma_retry_s", wasted)
-                        raise DmaTransferError(
-                            f"DMA {desc.tag!r} on core {self.core_id} failed "
-                            f"{attempt} times (giving up at "
-                            f"t={self.sim.now:.3e}s)"
-                        )
-                    backoff = inj.backoff_s(attempt, self.core_cfg.clock_hz)
-                    tracer = current_tracer()
-                    if tracer is not None:
-                        tracer.instant(
-                            f"dma-retry {desc.tag or 'transfer'}",
-                            at_s=self.sim.now,
-                            category="dma-retry",
-                            track=f"core{self.core_id}/dma",
-                            args={"core": self.core_id, "attempt": attempt,
-                                  "wasted_s": wasted, "backoff_s": backoff},
-                        )
-                    yield self.sim.timeout(backoff)
-                    self.retries += 1
-                    self.retry_s += wasted + backoff
-                    inj.count("dma_retries")
-                    inj.count("dma_retry_s", wasted + backoff)
-                self.bytes_moved += desc.nbytes
-                medium = desc.medium.value
-                self.bytes_by_medium[medium] = (
-                    self.bytes_by_medium.get(medium, 0) + desc.nbytes
-                )
-                tracer = current_tracer()
-                if tracer is not None:
-                    # queue wait + startup + transfer (+ retries), end to end
-                    tracer.record(
-                        desc.tag or "dma",
-                        category="dma",
-                        start_s=t_request,
-                        end_s=self.sim.now,
-                        track=f"core{self.core_id}/dma",
-                        args={"core": self.core_id, "bytes": desc.nbytes,
-                              "medium": medium, "rows": desc.rows},
-                    )
-            self.transfers += 1
-        finally:
-            self.slots.release()
+
+class DmaTransfer(Event):
+    """One descriptor's trip through a :class:`DmaEngine`, as callbacks.
+
+    Each step is one simulator push: :meth:`launch` pushes the slot
+    request; the engine's slot FIFO pushes the grant; the grant pushes
+    the startup delay, after which the medium's channel moves
+    ``effective_bytes``.  A failed attempt (fault injection) backs off
+    and restarts from the startup delay.  On success the slot is
+    released and :meth:`_complete` fires this event.  Subclasses (the
+    timed executor's ops) extend :meth:`_complete` with their own
+    accounting.
+    """
+
+    __slots__ = ("engine", "desc", "eff_bytes", "t_request", "t0",
+                 "issue_idx", "attempt")
+
+    def __init__(self, engine: DmaEngine, desc: DmaDescriptor) -> None:
+        Event.__init__(self, engine.sim, desc.tag)
+        self.engine = engine
+        self.desc = desc
+
+    def launch(self) -> None:
+        """Issue at the current simulated time."""
+        self.sim._call_at(self.sim.now, self._request)
+
+    def _request(self, _arg) -> None:
+        eng = self.engine
+        slots = eng.slots
+        queued = slots.queued
+        if queued + 1 > eng.queue_depth_peak and slots.in_use >= slots.capacity:
+            eng.queue_depth_peak = queued + 1
+        self.t_request = self.sim.now
+        slots.acquire(self._granted)
+
+    def _granted(self, _arg) -> None:
+        eng = self.engine
+        eng.queue_wait_s += self.sim.now - self.t_request
+        if self.desc.nbytes > 0:
+            self.eff_bytes = self.desc.effective_bytes(eng.cfg)
+            self.issue_idx = eng._issued
+            eng._issued += 1
+            self.attempt = 0
+            self._startup()
+        else:
+            eng.transfers += 1
+            eng.slots.release()
+            self._complete()
+
+    def _startup(self) -> None:
+        sim = self.sim
+        self.t0 = sim.now
+        sim._call_at(sim.now + self.engine.startup_s, self._transfer)
+
+    def _transfer(self, _arg) -> None:
+        self.engine.channels[self.desc.medium].begin(
+            self.eff_bytes, self._transferred
+        )
+
+    def _transferred(self, _arg) -> None:
+        eng = self.engine
+        inj = eng.faults
+        if inj is not None and inj.dma_transfer_fails(
+            eng.core_id, self.issue_idx, self.attempt
+        ):
+            self._failed(inj)
+            return
+        desc = self.desc
+        now = self.sim.now
+        eng.bytes_moved += desc.nbytes
+        medium = desc.medium.value
+        eng.bytes_by_medium[medium] = (
+            eng.bytes_by_medium.get(medium, 0) + desc.nbytes
+        )
+        tracer = current_tracer()
+        if tracer is not None:
+            # queue wait + startup + transfer (+ retries), end to end
+            tracer.record(
+                desc.tag or "dma",
+                category="dma",
+                start_s=self.t_request,
+                end_s=now,
+                track=f"core{eng.core_id}/dma",
+                args={"core": eng.core_id, "bytes": desc.nbytes,
+                      "medium": medium, "rows": desc.rows},
+            )
+        eng.transfers += 1
+        eng.slots.release()
+        self._complete()
+
+    def _failed(self, inj) -> None:
+        """The attempt's time is spent: back off exponentially, then
+        re-issue from the startup delay (or give up past the budget)."""
+        eng = self.engine
+        sim = self.sim
+        self.attempt += 1
+        attempt = self.attempt
+        wasted = sim.now - self.t0
+        if attempt > inj.plan.max_dma_retries:
+            eng.retries += 1
+            eng.retry_s += wasted
+            inj.count("dma_retries")
+            inj.count("dma_retry_s", wasted)
+            eng.slots.release()
+            raise DmaTransferError(
+                f"DMA {self.desc.tag!r} on core {eng.core_id} failed "
+                f"{attempt} times (giving up at t={sim.now:.3e}s)"
+            )
+        backoff = inj.backoff_s(attempt, eng.core_cfg.clock_hz)
+        tracer = current_tracer()
+        if tracer is not None:
+            tracer.instant(
+                f"dma-retry {self.desc.tag or 'transfer'}",
+                at_s=sim.now,
+                category="dma-retry",
+                track=f"core{eng.core_id}/dma",
+                args={"core": eng.core_id, "attempt": attempt,
+                      "wasted_s": wasted, "backoff_s": backoff},
+            )
+        sim._call_at(sim.now + backoff, self._retry, wasted + backoff)
+
+    def _retry(self, spent: float) -> None:
+        eng = self.engine
+        inj = eng.faults
+        eng.retries += 1
+        eng.retry_s += spent
+        inj.count("dma_retries")
+        inj.count("dma_retry_s", spent)
+        self._startup()
+
+    def _complete(self) -> None:
+        self.succeed()

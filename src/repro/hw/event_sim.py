@@ -1,15 +1,20 @@
 """A small discrete-event simulation (DES) kernel.
 
 This is the substrate under the timed executor: DMA engines, compute units
-and shared-bandwidth channels are modeled as processes and resources on one
-simulated clock.  The design follows the classic generator-based pattern
-(processes are Python generators that ``yield`` events; the simulator resumes
-them when the event fires), kept deliberately small:
+and shared-bandwidth channels share one simulated clock.  The engine is
+callback-driven: the heap holds ``(time, seq, callback, arg)`` entries and
+the loop calls ``callback(arg)`` when one comes due.  The hot per-op
+machinery (a DMA descriptor's trip through its engine, a micro-kernel on
+the compute pipeline) is built as small state machines that push their own
+next step (:class:`~repro.hw.dma.DmaTransfer`,
+:class:`~repro.hw.cluster.KernelRun`).  On top sit the classic
+generator-process primitives, kept deliberately small, for the op-stream
+walkers, barriers and tests:
 
 * :class:`Event` — one-shot occurrence carrying an optional value.
 * :class:`Timeout` — event that fires after a simulated delay.
-* :class:`Process` — wraps a generator; itself an event that fires when the
-  generator returns (value = the generator's return value).
+* :class:`Process` — wraps a generator that ``yield``-s events; itself an
+  event that fires when the generator returns (value = its return value).
 * :class:`AllOf` — barrier over a set of events.
 * :class:`Resource` — FIFO resource with integer capacity (DMA channels,
   the single compute pipeline of a core).
@@ -56,6 +61,11 @@ class Event:
             cb(self)
         return self
 
+    def _fire(self, value: Any) -> None:
+        """Heap callback: trigger unless something triggered it first."""
+        if not self.triggered:
+            self.succeed(value)
+
     def wait(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback``; runs immediately if already triggered."""
         if self.triggered:
@@ -74,10 +84,10 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        super().__init__(sim, name=f"timeout+{delay:g}")
+        super().__init__(sim, name="timeout")
         if delay < 0:
             raise SimulationError(f"negative timeout {delay}")
-        sim._schedule_at(sim.now + delay, self, value)
+        sim._call_at(sim.now + delay, self._fire, value)
 
 
 class Process(Event):
@@ -86,24 +96,26 @@ class Process(Event):
     __slots__ = ("_gen",)
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = "") -> None:
-        super().__init__(sim, name=name or getattr(gen, "__name__", "proc"))
+        super().__init__(sim, name=name)
         self._gen = gen
         # start the process at the current time, not synchronously, so a
         # spawner can create several processes "at once"
-        start = Event(sim, name=f"start:{self.name}")
-        start.wait(self._resume)
-        sim._schedule_at(sim.now, start, None)
+        sim._call_at(sim.now, self._send, None)
 
     def _resume(self, event: Event) -> None:
+        self._send(event._value)
+
+    def _send(self, value: Any) -> None:
         self.sim._wakeups += 1
         try:
-            target = self._gen.send(event.value)
+            target = self._gen.send(value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
         if not isinstance(target, Event):
+            name = self.name or getattr(self._gen, "__name__", "proc")
             raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must "
+                f"process {name!r} yielded {target!r}; processes must "
                 "yield Event instances"
             )
         target.wait(self._resume)
@@ -134,7 +146,7 @@ class AllOf(Event):
 
 
 class Simulator:
-    """Event loop: a heap of (time, seq, event, value) to trigger."""
+    """Event loop: a heap of ``(time, seq, callback, arg)`` entries."""
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -160,15 +172,22 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule_at(self, when: float, event: Event, value: Any) -> None:
+    def _call_at(self, when: float, callback: Callable[[Any], None],
+                 arg: Any = None) -> None:
+        """Push ``callback(arg)`` to run at simulated time ``when``."""
         if when < self.now - 1e-18:
             raise SimulationError(
                 f"cannot schedule event at {when} before now={self.now}"
             )
         self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, event, value))
-        if len(self._heap) > self._heap_peak:
-            self._heap_peak = len(self._heap)
+        heap = self._heap
+        heapq.heappush(heap, (when, self._seq, callback, arg))
+        if len(heap) > self._heap_peak:
+            self._heap_peak = len(heap)
+
+    def _schedule_at(self, when: float, event: Event, value: Any) -> None:
+        """Push the trigger of ``event`` (with ``value``) at ``when``."""
+        self._call_at(when, event._fire, value)
 
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> float:
         """Run until the heap drains (or simulated time passes ``until``).
@@ -176,20 +195,20 @@ class Simulator:
         Returns the final simulation time.  ``max_events`` is a runaway
         guard; real experiments stay far below it.
         """
-        while self._heap:
-            when, _seq, event, value = self._heap[0]
-            if until is not None and when > until:
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            if until is not None and heap[0][0] > until:
                 self.now = until
                 return self.now
-            heapq.heappop(self._heap)
+            when, _seq, callback, arg = pop(heap)
             self.now = when
             self._processed += 1
             if self._processed > max_events:
                 raise SimulationError(
                     f"exceeded {max_events} events; likely a runaway process"
                 )
-            if not event.triggered:
-                event.succeed(value)
+            callback(arg)
         return self.now
 
     @property
@@ -203,15 +222,16 @@ class Simulator:
 
     @property
     def process_wakeups(self) -> int:
-        """Times any process generator was resumed."""
+        """Times any :class:`Process` generator was resumed (callback state
+        machines are not processes and never count)."""
         return self._wakeups
 
 
 class Resource:
     """FIFO resource with integer capacity.
 
-    ``request()`` returns an event that fires when a slot is granted;
-    ``release()`` frees a slot.  Used for DMA channels (capacity =
+    ``request()`` returns an event that fires when a slot is granted
+    (``acquire()`` is the callback form); ``release()`` frees a slot.  Used for DMA channels (capacity =
     channels_per_core) and the compute pipeline (capacity = 1).
     """
 
@@ -224,23 +244,27 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._queue: deque[Event] = deque()
+        self._queue: deque[Callable[[Any], None]] = deque()
 
-    def request(self) -> Event:
-        ev = Event(self.sim, name=f"req:{self.name}")
+    def acquire(self, granted: Callable[[Any], None]) -> None:
+        """Push ``granted(None)`` now if a slot is free, else when one is
+        released to this request (FIFO)."""
         if self._in_use < self.capacity:
             self._in_use += 1
-            self.sim._schedule_at(self.sim.now, ev, None)
+            self.sim._call_at(self.sim.now, granted)
         else:
-            self._queue.append(ev)
+            self._queue.append(granted)
+
+    def request(self) -> Event:
+        ev = Event(self.sim, name=self.name)
+        self.acquire(ev._fire)
         return ev
 
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._queue:
-            nxt = self._queue.popleft()
-            self.sim._schedule_at(self.sim.now, nxt, None)
+            self.sim._call_at(self.sim.now, self._queue.popleft())
         else:
             self._in_use -= 1
 

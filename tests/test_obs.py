@@ -19,11 +19,14 @@ from repro.analysis.bottleneck import (
     attribute,
     diff_records,
 )
-from repro.core.ftimm import _lower
+from repro.core.ftimm import _lower, ftimm_gemm
 from repro.core.shapes import GemmShape
 from repro.core.tuner import tune
 from repro.errors import ReproError
 from repro.executor.timed import run_timed
+from repro.executor.trace import TraceRecorder
+from repro.faults.inject import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.hw.config import default_machine
 from repro.kernels.registry import registry_for
 from repro.obs import (
@@ -38,6 +41,7 @@ from repro.obs import (
     last_matching,
 )
 from repro.obs.profile import merge_intervals
+from repro.obs.trace import tracing
 
 
 def timed_run(shape=GemmShape(512, 32, 256), **kw):
@@ -216,10 +220,25 @@ class TestNoOpDefault:
         plain, _, _ = timed_run()
         with collecting():
             observed, _, _ = timed_run(profile=True)
-        assert observed.seconds == plain.seconds
-        assert observed.events_processed == plain.events_processed
-        assert observed.dma_bytes == plain.dma_bytes
-        assert observed.core_busy == plain.core_busy
+        # a traced run: per-op spans plus the ambient tracer's records
+        recorder = TraceRecorder()
+        with tracing() as tracer:
+            traced, _, _ = timed_run(trace=recorder)
+        assert recorder.spans and tracer.spans
+        # faults wired but quiet: the same machine, the same timeline
+        quiet, _, _ = timed_run(faults=FaultInjector(FaultPlan(seed=0)))
+        for other in (observed, traced, quiet):
+            assert other.seconds == plain.seconds
+            assert other.events_processed == plain.events_processed
+            assert other.dma_bytes == plain.dma_bytes
+            assert other.core_busy == plain.core_busy
+        clean = ftimm_gemm(784, 64, 1152, timing="des").timing
+        faulted = ftimm_gemm(
+            784, 64, 1152, timing="des", faults=FaultPlan(seed=0)
+        ).timing
+        for result in (clean, faulted):
+            assert result.seconds.hex() == "0x1.44efcbbfb597dp-13"
+            assert result.events_processed == 2003
 
     def test_profile_absent_by_default(self):
         plain, _, _ = timed_run()

@@ -98,7 +98,14 @@ class TestValidation:
         ops = [[] for _ in range(cluster.n_cores)]
         ops[0].append(Op(OpKind.SYNC, 0, sync_id=0))
         ex = GemmExecution(GemmShape(1, 1, 1), "t", cluster, ops, n_syncs=1)
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError, match="sync 0 appears 0 times on core 1"):
+            ex.validate()
+
+    def test_sync_twice_on_a_core_rejected(self, cluster):
+        ops = [[Op(OpKind.SYNC, 0, sync_id=0)] for _ in range(cluster.n_cores)]
+        ops[2].append(Op(OpKind.SYNC, 0, sync_id=0))
+        ex = GemmExecution(GemmShape(1, 1, 1), "t", cluster, ops, n_syncs=1)
+        with pytest.raises(PlanError, match="sync 0 appears 2 times on core 2"):
             ex.validate()
 
     def test_wrong_stream_count_rejected(self, cluster):
