@@ -1,7 +1,8 @@
-"""CI template smoke: lower once, bind many, with unchanged results.
+"""CI template smoke: lower once, bind many, hash each B once, with
+unchanged results.
 
 Serves the fixed-seed overload mix twice per configuration (clean, and
-with seeded bit flips) and fails (exit 1) unless both hold:
+with seeded bit flips) and fails (exit 1) unless all hold:
 
 1. **One lowering per key.**  With a cold template cache at the start,
    the number of ``build_*`` lowerings that carry operands equals the
@@ -9,9 +10,16 @@ with seeded bit flips) and fails (exit 1) unless both hold:
    a bind (the ``core/lowering/templates`` and ``core/lowering/binds``
    counters agree).
 
-2. **Caching changes nothing.**  The records, batches, makespan and
-   served bits equal those of a run that clears the template cache
-   before every call, so every call lowers afresh.
+2. **One hash per B content.**  With a cold digest memo at the start,
+   the full blake2b hashes (``core/batched/digests``) equal the number
+   of distinct B contents among the requests that reached admission,
+   and every other admitted request is a memo hit
+   (``core/batched/digest_hits``).
+
+3. **Caching changes nothing.**  The records, batches, makespan and
+   served bits equal those of a run that clears the template cache and
+   the digest memo before every lookup, so every call lowers afresh and
+   every B is hashed afresh.
 
 Both runs are deterministic (simulated time, fixed seed), so a failure
 here is a regression, not noise.
@@ -30,9 +38,10 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro import collecting
-from repro.core import ftimm
+from repro.core import batched, ftimm
 from repro.faults import FaultPlan
 from repro.serve import ServeConfig, make_requests, serve
+from repro.serve.request import SHED
 
 SEED = 7
 RATE_RPS = 120_000.0
@@ -67,18 +76,25 @@ def counting_lowerings():
 
 @contextmanager
 def cold_every_call():
-    """Clear the template cache before every lookup."""
+    """Clear the template cache and the digest memo before every lookup."""
     lookup = ftimm.TEMPLATES.lookup
+    digest = batched.DIGESTS.lookup
 
     def cold(key, lower):
         ftimm.TEMPLATES.clear()
         return lookup(key, lower)
 
+    def cold_digest(b):
+        batched.DIGESTS.clear()
+        return digest(b)
+
     ftimm.TEMPLATES.lookup = cold
+    batched.DIGESTS.lookup = cold_digest
     try:
         yield
     finally:
         del ftimm.TEMPLATES.lookup
+        del batched.DIGESTS.lookup
 
 
 def run(requests, c0, config):
@@ -87,7 +103,9 @@ def run(requests, c0, config):
         report = serve(served, config)
     counters = (reg.counter("core/lowering/templates").value,
                 reg.counter("core/lowering/binds").value,
-                reg.counter("faults/bitflips_injected").value)
+                reg.counter("faults/bitflips_injected").value,
+                reg.counter("core/batched/digests").value,
+                reg.counter("core/batched/digest_hits").value)
     return report, served, keys, counters
 
 
@@ -95,12 +113,22 @@ def check(label, requests, config) -> list[str]:
     failures = []
     c0 = {r.req_id: r.c.copy() for r in requests}
     ftimm.TEMPLATES.clear()
-    report, served, keys, (templates, binds, flips) = run(
+    batched.DIGESTS.clear()
+    report, served, keys, (templates, binds, flips, digests, hits) = run(
         requests, c0, config
     )
     distinct = len(set(keys))
     print(f"{label}: {len(keys)} lowerings with operands for {distinct} "
           f"keys; templates={templates} binds={binds} bitflips={flips}")
+    admitted = {r.req_id for r in report.records if r.status != SHED}
+    contents = {(str(r.b.dtype), r.b.shape, r.b.tobytes())
+                for r in requests if r.req_id in admitted}
+    print(f"{label}: {digests} B hashes for {len(contents)} distinct B "
+          f"contents; {hits} memo hits over {len(admitted)} admitted")
+    if digests != len(contents) or digests + hits != len(admitted):
+        failures.append(f"{label}: {digests} B hashes and {hits} memo hits "
+                        f"for {len(contents)} distinct B contents over "
+                        f"{len(admitted)} admitted requests")
     if config.faults is not None and flips <= 0:
         failures.append(f"{label}: the fault plan injected nothing")
     if len(keys) != distinct or templates != distinct:
@@ -110,9 +138,14 @@ def check(label, requests, config) -> list[str]:
         failures.append(f"{label}: no call bound a cached template")
 
     with cold_every_call():
-        cold, cold_served, cold_keys, _ = run(requests, c0, config)
-    print(f"{label} (cache cleared before every call): "
-          f"{len(cold_keys)} lowerings")
+        cold, cold_served, cold_keys, cold_counters = run(
+            requests, c0, config
+        )
+    print(f"{label} (caches cleared before every lookup): "
+          f"{len(cold_keys)} lowerings, {cold_counters[3]} B hashes")
+    if cold_counters[3] != len(admitted):
+        failures.append(f"{label}: the cold run hashed {cold_counters[3]} "
+                        f"Bs for {len(admitted)} admitted requests")
     if len(cold_keys) != templates + binds:
         failures.append(f"{label}: the cold run lowered {len(cold_keys)} "
                         f"times for {templates + binds} functional calls")

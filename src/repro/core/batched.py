@@ -17,15 +17,17 @@ fills, barriers, strategy setup) per call.  Two batching tools:
 
 Sharing is decided by **content digest** by default (:func:`b_digest`):
 two B arrays that are equal but distinct objects — the normal case for
-requests deserialized from a stream — still coalesce.  Pass
-``group_by="identity"`` to opt back into the old ``id(b)`` behaviour
-(e.g. when the caller guarantees object sharing and B is huge enough
-that hashing it matters).
+requests deserialized from a stream — still coalesce.  Each distinct B
+content is hashed once per process: later equal Bs are recognised by a
+full byte comparison against a private snapshot (:class:`DigestMemo`).
+Pass ``group_by="identity"`` to group by object instead (``id(b)``),
+which skips even that comparison when the caller guarantees sharing.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,21 +35,89 @@ import numpy as np
 from ..errors import PlanError, ShapeError
 from ..faults.plan import FaultPlan
 from ..hw.config import MachineConfig, default_machine
+from ..obs.registry import current as _obs_current
 from .ftimm import GemmResult, ftimm_gemm
+from .lowering import dtype_tag
 from .shapes import GemmShape
+
+#: bytes of B snapshots the digest memo keeps; a larger B is hashed on
+#: every call and never kept
+DIGEST_MEMO_BYTES = 64 << 20
+
+#: bytes taken from each end of B's contiguous bytes for the memo key
+_SAMPLE_BYTES = 512
+
+
+class DigestMemo:
+    """blake2b content digests, each distinct B hashed once, LRU-bounded.
+
+    An entry is keyed by (dtype, shape, the first and last
+    ``_SAMPLE_BYTES`` of B's C-order bytes) and holds a private snapshot
+    of all of them.  A lookup is a hit only when B's full bytes equal
+    the snapshot, so a hit sees exactly the inputs blake2b would hash
+    and returns the same digest; anything else (a sample collision, an
+    array mutated since it was seen) is hashed afresh and replaces the
+    entry.  Bytes are compared, never values: -0.0 and 0.0 differ, and a
+    NaN equals its own bit pattern.  Hits are counted as
+    ``core/batched/digest_hits``, full hashes as ``core/batched/digests``.
+    """
+
+    def __init__(self, capacity_bytes: int = DIGEST_MEMO_BYTES) -> None:
+        self.capacity_bytes = capacity_bytes
+        #: total length of the snapshots held
+        self.nbytes = 0
+        self._entries: OrderedDict[tuple, tuple[bytes, str]] = OrderedDict()
+
+    def lookup(self, b: np.ndarray) -> str:
+        m = _obs_current()
+        dtype = str(b.dtype)
+        raw = b.tobytes()
+        key = (dtype, b.shape, raw[:_SAMPLE_BYTES], raw[-_SAMPLE_BYTES:])
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] == raw:
+            self._entries.move_to_end(key)
+            if m is not None:
+                m.counter("core/batched/digest_hits").inc()
+            return entry[1]
+        h = hashlib.blake2b(digest_size=16)
+        h.update(dtype.encode())
+        h.update(str(b.shape).encode())
+        h.update(raw)
+        digest = h.hexdigest()
+        if m is not None:
+            m.counter("core/batched/digests").inc()
+        if entry is not None:
+            del self._entries[key]
+            self.nbytes -= len(entry[0])
+        if len(raw) <= self.capacity_bytes:
+            self._entries[key] = (raw, digest)
+            self.nbytes += len(raw)
+            while self.nbytes > self.capacity_bytes:
+                _key, (old, _digest) = self._entries.popitem(last=False)
+                self.nbytes -= len(old)
+        return digest
+
+    def clear(self) -> None:
+        """Drop every entry (tests compare against uncached digests)."""
+        self._entries.clear()
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+#: the process-wide memo behind :func:`b_digest`
+DIGESTS = DigestMemo()
 
 
 def b_digest(b: np.ndarray) -> str:
     """Content digest of an operand: dtype + shape + bytes, blake2b-16.
 
     Equal arrays (same dtype, shape and element bytes) digest equally even
-    when they are distinct objects or non-contiguous views.
+    when they are distinct objects or non-contiguous views.  Served from
+    :data:`DIGESTS` after the first time a content is seen.
     """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(b.dtype).encode())
-    h.update(str(b.shape).encode())
-    h.update(np.ascontiguousarray(b).tobytes())
-    return h.hexdigest()
+    return DIGESTS.lookup(b)
 
 
 @dataclass
@@ -101,6 +171,7 @@ def grouped_gemm(
     machine: MachineConfig | None = None,
     timing: str = "auto",
     faults: FaultPlan | None = None,
+    dtype: str | None = None,
 ) -> GroupedGemmResult:
     """Run ``C_i += A_i @ B`` for all i as one stacked GEMM.
 
@@ -108,7 +179,8 @@ def grouped_gemm(
     timing-only estimate, pass ``m_blocks``/``n``/``k``.  ``faults`` arms
     seeded fault injection on the stacked run (see :mod:`repro.faults`):
     the group either completes exactly or raises a typed ``FaultError``
-    before any ``c_blocks`` entry is written back.
+    before any ``c_blocks`` entry is written back.  ``dtype`` defaults
+    to B's dtype with operands and to ``"f32"`` without.
     """
     machine = machine or default_machine()
     if a_blocks is not None:
@@ -129,6 +201,7 @@ def grouped_gemm(
         result = ftimm_gemm(
             total_m, n_, k_, a=stacked_a, b=b, c=stacked_c,
             machine=machine, timing=timing, faults=faults,
+            dtype=dtype or dtype_tag(b.dtype),
         )
         row = 0
         for c_i in c_blocks:
@@ -145,7 +218,8 @@ def grouped_gemm(
         raise ShapeError("empty group")
     total_m = sum(m_blocks)
     result = ftimm_gemm(
-        total_m, n, k, machine=machine, timing=timing, faults=faults
+        total_m, n, k, machine=machine, timing=timing, faults=faults,
+        dtype=dtype or "f32",
     )
     return GroupedGemmResult(
         shape=GemmShape(total_m, n, k), n_items=len(m_blocks), result=result

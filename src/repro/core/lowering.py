@@ -38,6 +38,19 @@ FP32 = 4
 DTYPE_NUMPY = {"f32": np.float32, "f64": np.float64}
 
 
+#: numpy dtype name -> the dtype tag of DTYPE_NUMPY
+_DTYPE_TAGS = {"float32": "f32", "float64": "f64"}
+
+
+def dtype_tag(dtype) -> str:
+    """The dtype tag (``"f32"``/``"f64"``) of a numpy dtype."""
+    name = str(dtype)
+    try:
+        return _DTYPE_TAGS[name]
+    except KeyError:
+        raise InputError(f"unsupported operand dtype {name!r}") from None
+
+
 def block_ranges(total: int, block: int) -> Iterator[tuple[int, int, int]]:
     """Yield ``(index, start, extent)`` for blocking ``total`` by ``block``."""
     if block < 1:

@@ -20,24 +20,13 @@ from dataclasses import dataclass, field
 
 from ..core.batched import b_digest
 from ..core.blocking import DTYPE_SIZES
+from ..core.lowering import dtype_tag
 from ..errors import PlanError
 from ..obs.trace import current_tracer
 from .request import GemmRequest
 
 #: bucket key: (N, K, dtype-str, B-content-digest-or-id)
 BucketKey = tuple[int, int, str, object]
-
-#: numpy dtype name -> the repo's dtype tags (core.blocking.DTYPE_SIZES)
-_DTYPE_TAGS = {"float32": "f32", "float64": "f64"}
-
-
-def dtype_tag(dtype) -> str:
-    name = str(dtype)
-    try:
-        return _DTYPE_TAGS[name]
-    except KeyError:
-        raise PlanError(f"unsupported operand dtype {name!r}") from None
-
 
 def bucket_key(req: GemmRequest, *, by_digest: bool = True) -> BucketKey:
     """The coalescibility class of a request."""
@@ -135,7 +124,7 @@ class ShapeBucketBatcher:
         """Admit one request; returns a batch if its bucket just filled.
 
         ``key`` is the request's :func:`bucket_key` when the caller has
-        already computed it (hashing B is the costly part).
+        already computed it (looking up B's digest is the costly part).
         """
         if key is None:
             key = bucket_key(req, by_digest=self.by_digest)

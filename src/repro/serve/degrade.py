@@ -380,6 +380,7 @@ def chaos_serve(
     and any load mix via ``requests`` — the harness is policy-agnostic.
     """
     from ..core.ftimm import ftimm_gemm
+    from ..core.lowering import dtype_tag
     from .server import ServeConfig, serve
 
     config = config or ServeConfig()
@@ -404,6 +405,7 @@ def chaos_serve(
                 by_id[rec.req_id].shape.n,
                 by_id[rec.req_id].shape.k,
                 a=a, b=b, c=ref, machine=machine, timing="none",
+                dtype=dtype_tag(b.dtype),
             )
             if not np.array_equal(ref, by_id[rec.req_id].c):
                 silent.append(rec.req_id)

@@ -6,7 +6,8 @@ batcher/scheduler/backends the replay path uses — streaming admission,
 not a pre-drawn list — and resolves when the simulated backend finishes
 it, with the same typed outcomes (:class:`~repro.serve.request
 .RequestRecord` on completion, :class:`~repro.errors.OverloadError` on
-shed, :class:`~repro.errors.FaultError` past the re-dispatch budget).
+shed, :class:`~repro.errors.FaultError` past the re-dispatch budget,
+:class:`~repro.errors.InputError` for operands that failed validation).
 
 **Virtual-clock bridge.** The engine runs in simulated seconds; asyncio
 runs in wall time.  The bridge never free-runs the simulation: a pump
@@ -43,7 +44,7 @@ from typing import AsyncIterator, Iterable
 import numpy as np
 
 from ..core.shapes import GemmShape
-from ..errors import FaultError, OverloadError, PlanError
+from ..errors import FaultError, InputError, OverloadError, PlanError
 from ..hw.config import MachineConfig, default_machine
 from ..obs import MetricsRegistry, current
 from ..obs.registry import set_registry
@@ -162,8 +163,9 @@ class Gateway:
 
         Returns the completed :class:`RequestRecord`; raises
         :class:`OverloadError` when the request was shed (admission
-        queue, priority class, burn protection or gateway shutdown) and
-        :class:`FaultError` when every re-dispatch attempt faulted.  The
+        queue, priority class, burn protection or gateway shutdown),
+        :class:`FaultError` when every re-dispatch attempt faulted and
+        :class:`InputError` when its operands failed validation.  The
         record always exists in :meth:`report` either way.
         """
         record = await self._submit(req)
@@ -356,7 +358,9 @@ class Gateway:
                 reason=record.shed_reason or "queue_full",
             ) from None
         if record.status == FAILED:
-            raise FaultError(
+            error = (InputError if record.error.startswith("InputError:")
+                     else FaultError)
+            raise error(
                 f"request {record.req_id} failed: {record.error}"
             ) from None
         return record
@@ -482,7 +486,7 @@ def gateway_replay(
         outcomes = await asyncio.gather(*tasks, return_exceptions=True)
         for out in outcomes:
             if isinstance(out, BaseException) and not isinstance(
-                out, (OverloadError, FaultError)
+                out, (OverloadError, FaultError, InputError)
             ):
                 raise out  # anything untyped is a contract violation
         await gw.close()

@@ -23,7 +23,12 @@ Contracts, enforced rather than hoped for:
 
 * **No silent drops.** Every request ends ``completed``, ``shed`` (typed
   :class:`~repro.errors.OverloadError`, counted) or ``failed`` (typed
-  ``FaultError`` after the re-dispatch budget, counted).
+  ``FaultError`` after the re-dispatch budget, or
+  :class:`~repro.errors.InputError` for unusable operands, counted).
+* **Validated admission.** Every admitted request's operands are checked
+  (:meth:`~repro.core.lowering.GemmOperands.check`) before it joins a
+  bucket; an invalid one fails alone, with C untouched, instead of
+  taking its batch-mates down.
 * **Bit-exact responses.** With ``verify=True`` (default) every
   completed response is compared against a standalone
   :func:`~repro.core.ftimm.ftimm_gemm` of the request's own shape.  A
@@ -44,14 +49,16 @@ import numpy as np
 
 from ..analysis.tables import format_table
 from ..core.batched import GroupedGemmResult, grouped_gemm
+from ..core.blocking import DTYPE_SIZES
 from ..core.ftimm import ftimm_gemm
+from ..core.lowering import GemmOperands, dtype_tag
 from ..core.shapes import GemmShape
-from ..errors import FaultError, OverloadError, PlanError
+from ..errors import FaultError, InputError, OverloadError, PlanError
 from ..faults.plan import FaultPlan
 from ..hw.config import MachineConfig, default_machine
 from ..obs import current
 from ..obs.trace import current_tracer, head_sample, maybe_scope
-from .batcher import Batch, ShapeBucketBatcher, bucket_key, bucket_label, dtype_tag
+from .batcher import Batch, ShapeBucketBatcher, bucket_key, bucket_label
 from .degrade import DegradePolicy, DegradeReport, OnlineBurn
 from .placement import REPLICATE_MODES, PlacementManager, PlacementReport
 from .request import (
@@ -64,8 +71,6 @@ from .request import (
     RequestRecord,
 )
 from .scheduler import Scheduler, StackHints, WarmKey, WarmupReport
-
-FP32 = 4
 
 
 def expected_stack_hints(
@@ -584,10 +589,16 @@ class ServeEngine:
         if reason is not None:
             self._shed(req, now, reason, pcls)
             return
-        self.pending += 1
-        self._gauge_queue()
         if m is not None:
             m.counter("serve/requests/admitted").inc()
+        try:
+            GemmOperands.check(req.shape, req.a, req.b, req.c,
+                               dtype=dtype_tag(req.b.dtype))
+        except InputError as exc:
+            self._reject(req, now, exc, pcls)
+            return
+        self.pending += 1
+        self._gauge_queue()
         key = bucket_key(req, by_digest=self.config.by_digest)
         batch = self.batcher.add(req, now, key)
         if batch is not None:
@@ -648,6 +659,41 @@ class ServeEngine:
                 track="admission",
                 pid=0,
                 args=args,
+            )
+
+    def _reject(
+        self,
+        req: GemmRequest,
+        now: float,
+        exc: InputError,
+        pcls,
+    ) -> None:
+        """Fail one request whose operands did not pass admission."""
+        error = f"{type(exc).__name__}: {exc}"
+        self.records[req.req_id] = RequestRecord(
+            req_id=req.req_id,
+            klass=req.klass,
+            shape=str(req.shape),
+            arrival_s=req.arrival_s,
+            status=FAILED,
+            deadline_s=req.deadline_s,
+            deadline_met=False if req.deadline_s is not None else None,
+            error=error,
+            priority=pcls.name if pcls is not None else None,
+        )
+        m = current()
+        if m is not None:
+            m.counter(f"serve/requests/{FAILED}").inc()
+        tracer = current_tracer()
+        if tracer is not None:
+            tracer.instant(
+                f"reject req {req.req_id}",
+                at_s=now,
+                category="admission",
+                track="admission",
+                pid=0,
+                args={"req_id": req.req_id, "klass": req.klass,
+                      "error": error},
             )
 
     def _on_close(self, batch: Batch, now: float) -> None:
@@ -753,9 +799,10 @@ class ServeEngine:
         # staging through the host into the cluster's memory partition:
         # A blocks + one shared B in, C in and out
         cpu_bw = self.machine.cpu.ddr_bandwidth
-        a_bytes = sum(r.shape.m * r.shape.k for r in batch.requests) * FP32
-        c_bytes = sum(r.shape.m * r.shape.n for r in batch.requests) * FP32
-        b_bytes = k * n * FP32
+        esize = DTYPE_SIZES[dtype]
+        a_bytes = sum(r.shape.m * r.shape.k for r in batch.requests) * esize
+        c_bytes = sum(r.shape.m * r.shape.n for r in batch.requests) * esize
+        b_bytes = k * n * esize
         stage_s = (a_bytes + b_bytes + 2 * c_bytes) / cpu_bw
         stage_nob_s = (a_bytes + 2 * c_bytes) / cpu_bw
 
@@ -764,6 +811,21 @@ class ServeEngine:
         attempt = 0
         attempt_errors: list[str] = []
         failed_on: list[int] = []
+
+        def failed(error: str) -> _Execution:
+            return _Execution(
+                ok=False,
+                tune_s=tune_s,
+                stage_s=stage_s,
+                stage_nob_s=stage_nob_s,
+                lost_s=lost_s,
+                redispatches=redispatches,
+                error=error,
+                attempt_errors=attempt_errors,
+                backend=route if backend is not None else None,
+                failed_on=failed_on,
+            )
+
         while True:
             faults = None
             if cfg.faults is not None:
@@ -787,17 +849,21 @@ class ServeEngine:
                 faults = dc_replace(cfg.faults, seed=seed, **overrides)
             try:
                 result = grouped_gemm(
-                    a_blocks, b, c_blocks,
+                    a_blocks, b, c_blocks, dtype=dtype,
                     machine=self.machine, timing=cfg.timing, faults=faults,
                 )
                 break
+            except InputError as exc:
+                # operands changed since admission: the check runs before
+                # any C is written, and a retry cannot help
+                return failed(f"{type(exc).__name__}: {exc}")
             except FaultError as exc:
                 # the failed attempt's modeled time is honestly lost,
                 # costed in the run's own timing mode
                 lost_s += grouped_gemm(
                     None, None, None,
                     m_blocks=[r.shape.m for r in batch.requests],
-                    n=n, k=k,
+                    n=n, k=k, dtype=dtype,
                     machine=self.machine, timing=cfg.timing,
                 ).seconds
                 attempt += 1
@@ -813,18 +879,7 @@ class ServeEngine:
                     if self.sched.health is not None:
                         route = self.sched.route_retry(now, set(failed_on))
                 if attempt > cfg.max_redispatch:
-                    return _Execution(
-                        ok=False,
-                        tune_s=tune_s,
-                        stage_s=stage_s,
-                        stage_nob_s=stage_nob_s,
-                        lost_s=lost_s,
-                        redispatches=redispatches,
-                        error=f"{type(exc).__name__}: {exc}",
-                        attempt_errors=attempt_errors,
-                        backend=route if backend is not None else None,
-                        failed_on=failed_on,
-                    )
+                    return failed(f"{type(exc).__name__}: {exc}")
 
         repaired = 0
         if cfg.verify:
@@ -839,7 +894,7 @@ class ServeEngine:
                     ftimm_gemm(
                         req.shape.m, req.shape.n, req.shape.k,
                         a=req.a, b=req.b, c=standalone,
-                        machine=self.machine, timing="none",
+                        machine=self.machine, timing="none", dtype=dtype,
                     )
                     if not np.array_equal(standalone, req.c):
                         # stacked blocking summed in a different order; the

@@ -1,10 +1,14 @@
 """Batched / grouped GEMM."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core import batched
 from repro.core.batched import (
     BatchedGemmResult,
+    DigestMemo,
     b_digest,
     batched_gemm,
     grouped_gemm,
@@ -12,6 +16,16 @@ from repro.core.batched import (
 )
 from repro.core.shapes import GemmShape
 from repro.errors import PlanError, ShapeError
+from repro.obs import collecting
+
+
+def reference_digest(b):
+    """blake2b of dtype + shape + C-order bytes, with no memo in front."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(str(b.dtype).encode())
+    h.update(str(b.shape).encode())
+    h.update(np.ascontiguousarray(b).tobytes())
+    return h.hexdigest()
 
 
 def make_group(n_items=5, m=64, n=24, k=8, seed=0):
@@ -121,6 +135,15 @@ class TestBatchedGemm:
         # same values, different dtype -> different digest
         assert b_digest(b1) != b_digest(b1.astype(np.float64))
 
+    def test_grouped_gemm_runs_in_b_dtype(self):
+        a_blocks, b, c_blocks, _ = make_group(3, m=16, n=8, k=8, seed=4)
+        a64 = [a.astype(np.float64) for a in a_blocks]
+        c64 = [c.astype(np.float64) for c in c_blocks]
+        refs = [c + a @ b.astype(np.float64) for a, c in zip(a64, c64)]
+        grouped_gemm(a64, b.astype(np.float64), c64, timing="none")
+        for c, ref in zip(c64, refs):
+            np.testing.assert_allclose(c, ref, rtol=1e-12, atol=1e-12)
+
     def test_aggregate_metrics(self):
         a_blocks, b, c_blocks, _ = make_group(4, m=512, n=32, k=16)
         items = [(a, b, c) for a, c in zip(a_blocks, c_blocks)]
@@ -129,6 +152,102 @@ class TestBatchedGemm:
         assert result.seconds > 0
         assert result.gflops > 0
         assert result.total_flops == 4 * GemmShape(512, 32, 16).flops
+
+
+class TestDigestMemo:
+    """The memo in front of blake2b returns blake2b's digest, always."""
+
+    @pytest.fixture
+    def memo(self):
+        return DigestMemo()
+
+    def check(self, memo, b):
+        assert memo.lookup(b) == reference_digest(b)
+
+    def test_equal_copies_hash_once(self, memo):
+        b = np.random.default_rng(0).standard_normal((300, 40)).astype(
+            np.float32
+        )
+        with collecting() as reg:
+            for _ in range(5):
+                self.check(memo, b.copy())
+        assert reg.counter("core/batched/digests").value == 1
+        assert reg.counter("core/batched/digest_hits").value == 4
+
+    def test_views_digest_their_c_order_bytes(self, memo):
+        b = np.arange(600, dtype=np.float32).reshape(20, 30)
+        for view in (b.T, b[::2], b[:, 1::3], np.asfortranarray(b)):
+            self.check(memo, view)
+            self.check(memo, np.ascontiguousarray(view))
+        assert memo.lookup(b.T) != memo.lookup(b)
+
+    def test_signed_zeros_and_nan_payloads_differ(self, memo):
+        zeros = np.zeros((4, 4), np.float32)
+        neg = zeros.copy()
+        neg[2, 1] = -0.0
+        self.check(memo, zeros)
+        self.check(memo, neg)
+        assert memo.lookup(zeros) != memo.lookup(neg)
+        nan_a = np.full((4, 4), np.nan, np.float32)
+        nan_b = nan_a.copy()
+        nan_b.view(np.uint32)[0, 0] = 0x7FC00001   # another quiet NaN
+        self.check(memo, nan_a)
+        self.check(memo, nan_b)
+        assert memo.lookup(nan_a) != memo.lookup(nan_b)
+        # a NaN content is still recognised by its bytes
+        with collecting() as reg:
+            self.check(memo, nan_a.copy())
+        assert reg.counter("core/batched/digest_hits").value == 1
+
+    def test_same_bytes_under_another_dtype_or_shape(self, memo):
+        b = np.arange(64, dtype=np.float32).reshape(8, 8)
+        others = (b.view(np.int32), b.view(np.uint8), b.reshape(4, 16),
+                  b.reshape(64, 1))
+        digests = {memo.lookup(b)}
+        for other in others:
+            self.check(memo, other)
+            digests.add(memo.lookup(other))
+        assert len(digests) == 1 + len(others)
+
+    def test_sample_collision_falls_back_to_blake2b(self, memo):
+        b = np.zeros((512, 16), np.float32)    # 32 KiB: a middle to vary
+        middle = b.copy()
+        middle[256, 7] = 1.0
+        self.check(memo, b)
+        with collecting() as reg:
+            self.check(memo, middle)
+            self.check(memo, b)
+        assert reg.counter("core/batched/digests").value == 2
+        assert memo.lookup(b) != memo.lookup(middle)
+
+    def test_mutation_between_calls_is_seen(self, memo):
+        b = np.ones((64, 64), np.float32)
+        first = memo.lookup(b)
+        b[30, 30] = 2.0
+        self.check(memo, b)
+        assert memo.lookup(b) != first
+
+    def test_snapshots_stay_within_the_cap(self):
+        cap = 10 * 4096
+        memo = DigestMemo(capacity_bytes=cap)
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            b = rng.standard_normal((32, 32)).astype(np.float32)  # 4 KiB
+            self.check(memo, b)
+            assert memo.nbytes <= cap
+        assert len(memo) == 10
+        big = np.ones((cap // 4 + 1,), np.float32)
+        self.check(memo, big)
+        assert memo.nbytes <= cap and len(memo) == 10
+
+    def test_b_digest_uses_the_process_memo(self):
+        b = np.arange(12, dtype=np.float32).reshape(3, 4)
+        batched.DIGESTS.clear()
+        with collecting() as reg:
+            assert b_digest(b) == reference_digest(b)
+            assert b_digest(b.copy()) == reference_digest(b)
+        assert reg.counter("core/batched/digests").value == 1
+        assert reg.counter("core/batched/digest_hits").value == 1
 
 
 class TestGroupingWins:

@@ -13,6 +13,8 @@ The contracts under test are the ones the module docstrings promise:
   saturation.
 """
 
+import asyncio
+import dataclasses
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -20,15 +22,19 @@ import pytest
 
 from repro.core.ftimm import ftimm_gemm
 from repro.core.shapes import GemmShape
-from repro.errors import PlanError, ShapeError
+from repro.errors import InputError, PlanError, ShapeError
 from repro.faults import FaultPlan
+from repro.hw.config import default_machine
 from repro.obs import collecting
 from repro.serve import (
+    Gateway,
     GemmRequest,
     ServeConfig,
+    ServeEngine,
     ShapeBucketBatcher,
     ShapeClass,
     bucket_key,
+    gateway_replay,
     get_mix,
     make_requests,
     serve,
@@ -303,3 +309,110 @@ class TestRequestValidation:
             ShapeClass("bad", GemmShape(8, 8, 8), slo_s=-1.0)
         with pytest.raises(PlanError):
             ShapeClass("bad", GemmShape(8, 8, 8), n_b_variants=0)
+
+
+def shared_b_requests(n=4, dtype=np.float32, shape=GemmShape(48, 32, 64),
+                      seed=0):
+    """``n`` requests carrying copies of one B, 10 us apart."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((shape.k, shape.n)).astype(dtype)
+    return [
+        GemmRequest(
+            req_id=i, arrival_s=1e-5 * (i + 1), shape=shape,
+            a=rng.standard_normal((shape.m, shape.k)).astype(dtype),
+            b=b.copy(),
+            c=rng.standard_normal((shape.m, shape.n)).astype(dtype),
+        )
+        for i in range(n)
+    ]
+
+
+def record_tuples(report):
+    return [dataclasses.astuple(r) for r in report.records]
+
+
+class TestOperandContracts:
+    """Operands that are valid in any supported dtype are served; an
+    invalid one fails alone and typed, never the whole run."""
+
+    def test_f64_requests_serve_bit_exact(self):
+        reqs = shared_b_requests(3, dtype=np.float64)
+        c0 = [r.c.copy() for r in reqs]
+        rep = serve(reqs, ServeConfig())
+        assert rep.completed == 3 and rep.verify_repaired == 0
+        via_gateway = shared_b_requests(3, dtype=np.float64)
+        gw_rep = gateway_replay(via_gateway, ServeConfig())
+        assert record_tuples(gw_rep) == record_tuples(rep)
+        for req, gw_req, c in zip(reqs, via_gateway, c0):
+            ref = c.copy()
+            ftimm_gemm(req.shape.m, req.shape.n, req.shape.k,
+                       a=req.a, b=req.b, c=ref, timing="none", dtype="f64")
+            assert np.array_equal(req.c, ref)
+            assert np.array_equal(gw_req.c, ref)
+
+    def test_f64_batch_stages_eight_byte_elements(self):
+        f32 = serve(shared_b_requests(3), ServeConfig())
+        f64 = serve(shared_b_requests(3, dtype=np.float64), ServeConfig())
+        assert [b.n_items for b in f64.batches] == [3]
+        assert f64.batches[0].stage_s == pytest.approx(
+            2 * f32.batches[0].stage_s
+        )
+
+    def test_bad_operand_fails_alone(self):
+        def requests():
+            reqs = shared_b_requests(4)
+            reqs[1].a[3, 3] = np.nan
+            return reqs
+
+        reqs = requests()
+        c0 = [r.c.copy() for r in reqs]
+        with collecting() as reg:
+            rep = serve(reqs, ServeConfig())
+        bad = rep.records[1]
+        assert bad.status == FAILED
+        assert bad.error == "InputError: A contains NaN or Inf entries"
+        assert bad.batch_id is None and bad.finish_s is None
+        assert np.array_equal(reqs[1].c, c0[1])
+        assert rep.completed == 3 and rep.failed == 1
+        assert rep.completed + rep.shed + rep.failed == rep.n_requests
+        assert [b.n_items for b in rep.batches] == [3]
+        snap = reg.snapshot()
+        assert snap["serve/requests/admitted"]["value"] == 4
+        assert snap["serve/requests/failed"]["value"] == 1
+        for i in (0, 2, 3):
+            ref = c0[i].copy()
+            ftimm_gemm(48, 32, 64, a=reqs[i].a, b=reqs[i].b, c=ref,
+                       timing="none")
+            assert np.array_equal(reqs[i].c, ref)
+        assert record_tuples(gateway_replay(requests(), ServeConfig())) \
+            == record_tuples(rep)
+
+    def test_gateway_raises_input_error(self):
+        reqs = shared_b_requests(2)
+        reqs[0].b[0, 0] = np.inf
+
+        async def drive():
+            gw = Gateway(ServeConfig())
+            outcomes = await asyncio.gather(
+                *[gw.submit(r) for r in reqs], return_exceptions=True
+            )
+            await gw.close()
+            return outcomes
+
+        bad, good = asyncio.run(drive())
+        assert isinstance(bad, InputError)
+        assert "B contains NaN or Inf entries" in str(bad)
+        assert good.status == COMPLETED
+
+    def test_operands_mutated_after_admission_fail_the_batch_typed(self):
+        reqs = shared_b_requests(3)
+        c0 = [r.c.copy() for r in reqs]
+        engine = ServeEngine(ServeConfig(max_batch=8), default_machine())
+        for req in reqs:
+            engine.offer(req)
+        reqs[2].a[0, 0] = np.nan      # after admission, before the close
+        engine.finish()
+        records = [engine.records[r.req_id] for r in reqs]
+        assert [r.status for r in records] == [FAILED] * 3
+        assert all(r.error.startswith("InputError:") for r in records)
+        assert all(np.array_equal(r.c, c) for r, c in zip(reqs, c0))
